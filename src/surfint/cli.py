@@ -11,16 +11,32 @@ fail loudly):
     }
 
 gamma is always a [real, imag] pair; a bare number is a ParseError so a
-complex strength is never silently real-coerced.  Tasks:
+complex strength is never silently real-coerced.  Tasks, with the blocks
+and keys each accepts (* marks a required key; a block is required when
+it has one).  Every task but compare takes coupling* (alpha*, beta*,
+gamma*) and every task takes output (dir):
 
     interval       exact negative spectrum on the symmetric interval
+                   geometry* d*;  solver: grid, k_max, tol
     sphere         radial FD mode sum on the 3-D sphere interface
+                   geometry* R*, R_out;  solver: n_grid, modes, outer_bc
     circle-fem     2-D interface FEM with an (h, R_out) refinement ladder
+                   geometry* R*, R_out, h;  solver: eigen_count
     radial-oracle  closed-form s-wave matching for the delta sphere
+                   geometry* R*
     m-infinity     flat-problem spectral bound + matched-strength check
+                   solver: verify_interval
     compare        eigenvalue-ordering suite (built-in 20 cases or custom)
+                   compare: cases, a list of {case_id*, alpha*, beta*,
+                   gamma*, reference*, geometry*, params, k_count}
     certify        bound-state existence/nonexistence certificates
+                   geometry* kind*, R*, R_out, n_grid
     sweep          one coupling/geometry parameter swept over a range
+                   geometry* d* (interval) or kind*, R*, R_out;
+                   sweep* parameter*, start*, stop*, steps*;
+                   solver: n_grid, eigen_count, outer_bc, backend
+
+The table TASKS below holds this spec and the rule of every key.
 
 Artifacts, all written into the output directory:
 
@@ -36,8 +52,7 @@ printed as shortest round-trip decimals, iteration orders are fixed and
 nothing records a timestamp, so identical config + version reruns are
 bit-identical.  Exit codes: 0 success, 2 solver or configuration
 failure (error.json), 3 verdict failure from compare/certify (the
-report is still written).  SURFINT_THREADS caps concurrent sweep points
-and comparison cases.
+report is still written).
 """
 
 from __future__ import annotations
@@ -47,7 +62,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from hashlib import sha256
 
@@ -59,19 +73,123 @@ from .report import _plain
 
 VERSION = "0.1.0"
 
-TASKS = (
-    "interval",
-    "sphere",
-    "circle-fem",
-    "radial-oracle",
-    "m-infinity",
-    "compare",
-    "certify",
-    "sweep",
-)
 
-_GAMMA_RULE = "gamma must be a [re, im] pair of numbers"
-_SWEEP_PARAMETERS = ("alpha", "beta", "d", "R")
+def _is_num(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+# Rules: each takes one JSON value and returns (value, problem), problem
+# being None or the text that follows the key's path in the message.
+
+def _number(v):
+    return (float(v), None) if _is_num(v) else (None, "must be a finite number")
+
+
+def _positive(v):
+    if not _is_num(v):
+        return None, "must be a finite number"
+    return (float(v), None) if v > 0 else (None, f"must be > 0, got {v}")
+
+
+def _count(v, problem="must be a positive integer"):
+    ok = isinstance(v, int) and not isinstance(v, bool) and v >= 1
+    return (v, None) if ok else (None, problem)
+
+
+def _steps(v):
+    return _count(v, "must be an integer >= 1 (a nonempty range)")
+
+
+def _choice(*options, said=None):
+    said = said or f"{', '.join(map(repr, options[:-1]))} or {options[-1]!r}"
+    return lambda v: (v, None) if v in options else (None, f"must be {said}, got {v!r}")
+
+
+def _boolean(v):
+    return (v, None) if isinstance(v, bool) else (None, "must be a boolean")
+
+
+def _modes(v):
+    ok = isinstance(v, list) and v and all(
+        isinstance(m, int) and not isinstance(m, bool) and m >= 0 for m in v)
+    return (list(v), None) if ok else (None, "must be a nonempty list of mode indices >= 0")
+
+
+def _numbers(v):
+    ok = isinstance(v, dict) and all(_is_num(x) for x in v.values())
+    return (dict(v), None) if ok else (None, "must be an object of numbers")
+
+
+def _text(v):
+    return (v, None) if v is None or isinstance(v, str) else (None, "must be a string")
+
+
+def _gamma(v):
+    # a bare number is refused outright so a complex strength is never
+    # silently real-coerced
+    if not (isinstance(v, list) and len(v) == 2 and all(_is_num(x) for x in v)):
+        raise ParseError("must be a [re, im] pair of numbers")
+    return complex(float(v[0]), float(v[1])), None
+
+
+def _any(v):
+    return v, None
+
+
+# Specs: {key: (rule, required)}; a block is required when one of its keys
+# is.  A spec in place of a rule means a nonempty list of such objects.
+_COUPLING = {"alpha": (_number, True), "beta": (_number, True), "gamma": (_gamma, True)}
+_RADII = {"R": (_positive, True), "R_out": (_positive, False)}
+_KIND = (_choice("circle", "sphere"), True)
+_N_GRID = (_count, False)
+_OUTER_BC = (_choice("neumann", "dirichlet"), False)
+_CASE = {
+    "case_id": (_any, True),
+    "alpha": (_number, True),
+    "beta": (_number, True),
+    "gamma": (_gamma, True),
+    "reference": (_number, True),
+    "geometry": (_any, True),
+    "params": (_numbers, False),
+    "k_count": (_count, False),
+}
+_OUTPUT = {"dir": (_text, False)}  # every task takes an output block
+
+TASKS = {
+    "interval": {
+        "coupling": _COUPLING,
+        "geometry": {"d": (_positive, True)},
+        "solver": {"grid": (_count, False), "k_max": (_positive, False),
+                   "tol": (_positive, False)},
+    },
+    "sphere": {
+        "coupling": _COUPLING,
+        "geometry": _RADII,
+        "solver": {"n_grid": _N_GRID, "modes": (_modes, False), "outer_bc": _OUTER_BC},
+    },
+    "circle-fem": {
+        "coupling": _COUPLING,
+        "geometry": {**_RADII, "h": (_positive, False)},
+        "solver": {"eigen_count": (_count, False)},
+    },
+    "radial-oracle": {"coupling": _COUPLING, "geometry": {"R": (_positive, True)}},
+    "m-infinity": {"coupling": _COUPLING, "solver": {"verify_interval": (_boolean, False)}},
+    "compare": {"compare": {"cases": (_CASE, False)}},
+    "certify": {"coupling": _COUPLING, "geometry": {"kind": _KIND, **_RADII, "n_grid": _N_GRID}},
+    "sweep": {
+        "coupling": _COUPLING,
+        # an interval (geometry.d) or a circle or sphere
+        "geometry": ({"d": (_positive, True)}, {"kind": _KIND, **_RADII}),
+        "solver": {"n_grid": _N_GRID, "eigen_count": (_count, False), "outer_bc": _OUTER_BC,
+                   "backend": (_choice("auto", "grid", "exact"), False)},
+        "sweep": {
+            "parameter": (_choice("alpha", "beta", "d", "R", said="one of alpha, beta, d, R"), True),
+            "start": (_number, True),
+            "stop": (_number, True),
+            "steps": (_steps, True),
+        },
+    },
+}
 
 
 @dataclass(frozen=True)
@@ -88,274 +206,62 @@ class RunConfig:
     sha256: str
 
 
-def _is_num(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+def _walk(obj, spec, path, problems):
+    """Check one JSON object against its spec; returns the values that pass.
 
-
-def _require_num(block, name, key, problems, positive=False):
-    if key not in block:
-        return None
-    val = block[key]
-    if not _is_num(val):
-        problems.append(f"{name}.{key} must be a finite number")
-        return None
-    if positive and not val > 0:
-        problems.append(f"{name}.{key} must be > 0, got {val}")
-        return None
-    return float(val)
-
-
-def _check_keys(block, name, allowed, required, problems):
-    for key in sorted(set(block) - set(allowed)):
-        problems.append(f"unknown key {name}.{key}")
-    for key in required:
-        if key not in block:
-            problems.append(f"missing required field {name}.{key}")
-
-
-def _get_block(doc, name, problems, required):
-    block = doc.get(name)
-    if block is None:
-        if required:
-            problems.append(f"missing required block {name}")
-        return None
-    if not isinstance(block, dict):
-        problems.append(f"{name} must be an object")
-        return None
-    return block
-
-
-def _parse_gamma(block, name):
-    g = block["gamma"]
-    if not (isinstance(g, (list, tuple)) and len(g) == 2 and all(_is_num(v) for v in g)):
-        raise ParseError(f"{name}.{_GAMMA_RULE}")
-    return complex(float(g[0]), float(g[1]))
-
-
-def _parse_coupling(doc, problems):
-    block = _get_block(doc, "coupling", problems, required=True)
-    if block is None:
-        return None
-    _check_keys(block, "coupling", ("alpha", "beta", "gamma"), ("alpha", "beta", "gamma"), problems)
-    gamma = _parse_gamma(block, "coupling") if "gamma" in block else None
-    alpha = _require_num(block, "coupling", "alpha", problems)
-    beta = _require_num(block, "coupling", "beta", problems)
-    if alpha is None or beta is None or gamma is None:
-        return None
-    try:
-        core.validate_coupling(alpha, beta, gamma)
-    except SurfintError as exc:
-        problems.append(f"coupling: {exc}")
-        return None
-    return (alpha, beta, gamma)
-
-
-def _parse_geometry(doc, task, problems):
-    if task == "m-infinity" or task == "compare":
-        if "geometry" in doc:
-            problems.append(f"unknown key geometry (not used by task {task})")
-        return {}
-    block = _get_block(doc, "geometry", problems, required=True)
-    if block is None:
-        return {}
-    geom = {}
-    if task == "interval":
-        _check_keys(block, "geometry", ("d",), ("d",), problems)
-        geom["d"] = _require_num(block, "geometry", "d", problems, positive=True)
-    elif task in ("sphere", "circle-fem"):
-        allowed = ("R", "R_out") if task == "sphere" else ("R", "R_out", "h")
-        _check_keys(block, "geometry", allowed, ("R",), problems)
-        geom["R"] = _require_num(block, "geometry", "R", problems, positive=True)
-        geom["R_out"] = _require_num(block, "geometry", "R_out", problems, positive=True)
-        if task == "circle-fem":
-            geom["h"] = _require_num(block, "geometry", "h", problems, positive=True)
-    elif task == "radial-oracle":
-        _check_keys(block, "geometry", ("R",), ("R",), problems)
-        geom["R"] = _require_num(block, "geometry", "R", problems, positive=True)
-    elif task == "certify":
-        _check_keys(block, "geometry", ("kind", "R", "R_out", "n_grid"), ("kind", "R"), problems)
-        kind = block.get("kind")
-        if kind is not None and kind not in ("circle", "sphere"):
-            problems.append(f"geometry.kind must be 'circle' or 'sphere', got {kind!r}")
-        geom["kind"] = kind
-        geom["R"] = _require_num(block, "geometry", "R", problems, positive=True)
-        geom["R_out"] = _require_num(block, "geometry", "R_out", problems, positive=True)
-        if "n_grid" in block:
-            if not (isinstance(block["n_grid"], int) and not isinstance(block["n_grid"], bool)):
-                problems.append("geometry.n_grid must be an integer")
-            else:
-                geom["n_grid"] = block["n_grid"]
-    elif task == "sweep":
-        if "d" in block:
-            _check_keys(block, "geometry", ("d",), ("d",), problems)
-            geom["kind"] = "interval"
-            geom["d"] = _require_num(block, "geometry", "d", problems, positive=True)
-        else:
-            _check_keys(block, "geometry", ("kind", "R", "R_out"), ("kind", "R"), problems)
-            kind = block.get("kind")
-            if kind is not None and kind not in ("circle", "sphere"):
-                problems.append(f"geometry.kind must be 'circle' or 'sphere', got {kind!r}")
-            geom["kind"] = kind
-            geom["R"] = _require_num(block, "geometry", "R", problems, positive=True)
-            geom["R_out"] = _require_num(block, "geometry", "R_out", problems, positive=True)
-    if "R" in geom and "R_out" in geom:
-        if geom["R"] is not None and geom["R_out"] is not None and geom["R_out"] <= geom["R"]:
-            problems.append(f"geometry.R_out must exceed R, got {geom['R_out']} <= {geom['R']}")
-    return {k: v for k, v in geom.items() if v is not None}
-
-
-_SOLVER_KEYS = {
-    "interval": ("grid", "k_max", "tol"),
-    "sphere": ("n_grid", "modes", "outer_bc"),
-    "circle-fem": ("eigen_count",),
-    "radial-oracle": (),
-    "m-infinity": ("verify_interval",),
-    "compare": (),
-    "certify": (),
-    "sweep": ("eigen_count", "n_grid", "outer_bc", "backend"),
-}
-
-
-def _parse_solver(doc, task, problems):
-    allowed = _SOLVER_KEYS[task]
-    block = _get_block(doc, "solver", problems, required=False)
-    if block is None or not allowed:
-        # a solver block on a task without solver knobs is already
-        # reported as an unknown top-level key
-        return {}
-    _check_keys(block, "solver", allowed, (), problems)
-    solver = {}
-    for key in ("grid", "n_grid", "eigen_count"):
-        if key in allowed and key in block:
-            val = block[key]
-            if not (isinstance(val, int) and not isinstance(val, bool)) or val < 1:
-                problems.append(f"solver.{key} must be a positive integer")
-            else:
-                solver[key] = val
-    for key in ("k_max", "tol"):
-        if key in allowed and key in block:
-            val = _require_num(block, "solver", key, problems, positive=True)
-            if val is not None:
-                solver[key] = val
-    if "modes" in allowed and "modes" in block:
-        modes = block["modes"]
-        ok = (
-            isinstance(modes, list)
-            and modes
-            and all(isinstance(m, int) and not isinstance(m, bool) and m >= 0 for m in modes)
-        )
-        if not ok:
-            problems.append("solver.modes must be a nonempty list of mode indices >= 0")
-        else:
-            solver["modes"] = list(modes)
-    if "outer_bc" in allowed and "outer_bc" in block:
-        bc = block["outer_bc"]
-        if bc not in ("neumann", "dirichlet"):
-            problems.append(f"solver.outer_bc must be 'neumann' or 'dirichlet', got {bc!r}")
-        else:
-            solver["outer_bc"] = bc
-    if "backend" in allowed and "backend" in block:
-        backend = block["backend"]
-        if backend not in ("auto", "grid", "exact"):
-            problems.append(f"solver.backend must be 'auto', 'grid' or 'exact', got {backend!r}")
-        else:
-            solver["backend"] = backend
-    if "verify_interval" in allowed and "verify_interval" in block:
-        if not isinstance(block["verify_interval"], bool):
-            problems.append("solver.verify_interval must be a boolean")
-        else:
-            solver["verify_interval"] = block["verify_interval"]
-    return solver
-
-
-def _parse_sweep(doc, task, problems):
-    if task != "sweep":
-        if "sweep" in doc:
-            problems.append(f"unknown key sweep (not used by task {task})")
-        return {}
-    block = _get_block(doc, "sweep", problems, required=True)
-    if block is None:
-        return {}
-    _check_keys(block, "sweep", ("parameter", "start", "stop", "steps"),
-                ("parameter", "start", "stop", "steps"), problems)
-    sweep = {}
-    param = block.get("parameter")
-    if param is not None and param not in _SWEEP_PARAMETERS:
-        problems.append(
-            f"sweep.parameter must be one of {', '.join(_SWEEP_PARAMETERS)}, got {param!r}")
-    else:
-        sweep["parameter"] = param
-    sweep["start"] = _require_num(block, "sweep", "start", problems)
-    sweep["stop"] = _require_num(block, "sweep", "stop", problems)
-    if "steps" in block:
-        steps = block["steps"]
-        if not (isinstance(steps, int) and not isinstance(steps, bool)) or steps < 1:
-            problems.append("sweep.steps must be an integer >= 1 (a nonempty range)")
-        else:
-            sweep["steps"] = steps
-    return {k: v for k, v in sweep.items() if v is not None}
-
-
-def _parse_cases(doc, problems):
-    block = _get_block(doc, "compare", problems, required=False)
-    if block is None:
-        return ()
-    _check_keys(block, "compare", ("cases",), (), problems)
-    raw = block.get("cases")
-    if raw is None:
-        return ()
-    if not isinstance(raw, list) or not raw:
-        problems.append("compare.cases must be a nonempty list of case objects")
-        return ()
-    cases = []
-    for i, entry in enumerate(raw):
-        name = f"compare.cases[{i}]"
-        if not isinstance(entry, dict):
-            problems.append(f"{name} must be an object")
+    Problems come in a fixed order: unknown keys (sorted), missing
+    required keys, then the rule of each present key in spec order.
+    """
+    problems += [f"unknown key {path}.{key}" for key in sorted(set(obj) - set(spec))]
+    problems += [f"missing required field {path}.{key}"
+                 for key, (_, required) in spec.items() if required and key not in obj]
+    values = {}
+    for key, (rule, _) in spec.items():
+        if key not in obj:
             continue
-        required = ("case_id", "alpha", "beta", "gamma", "reference", "geometry")
-        _check_keys(entry, name, required + ("k_count", "params"), required, problems)
-        if any(k not in entry for k in required):
+        where = f"{path}.{key}"
+        if isinstance(rule, dict):
+            values[key] = _walk_list(obj[key], rule, where, problems)
             continue
-        gamma = _parse_gamma(entry, name)
-        alpha = _require_num(entry, name, "alpha", problems)
-        beta = _require_num(entry, name, "beta", problems)
-        reference = _require_num(entry, name, "reference", problems)
-        params = entry.get("params", {})
-        if not isinstance(params, dict) or not all(_is_num(v) for v in params.values()):
-            problems.append(f"{name}.params must be an object of numbers")
-            continue
-        k_count = entry.get("k_count", 3)
-        if not (isinstance(k_count, int) and not isinstance(k_count, bool)) or k_count < 1:
-            problems.append(f"{name}.k_count must be a positive integer")
-            continue
-        if None in (alpha, beta, reference):
-            continue
-        cases.append(
-            harness.ComparisonCase(
-                case_id=entry["case_id"],
-                alpha=alpha,
-                beta=beta,
-                gamma=gamma,
-                reference=reference,
-                geometry=entry["geometry"],
-                params=dict(params),
-                k_count=k_count,
-            )
-        )
-    return tuple(cases)
+        try:
+            value, problem = rule(obj[key])
+        except ParseError as exc:
+            raise ParseError(f"{where} {exc}") from None
+        if problem is None:
+            values[key] = value
+        else:
+            problems.append(f"{where} {problem}")
+    return values
 
 
-def _parse_output(doc, problems):
-    block = _get_block(doc, "output", problems, required=False)
-    if block is None:
-        return None
-    _check_keys(block, "output", ("dir",), (), problems)
-    out = block.get("dir")
-    if out is not None and not isinstance(out, str):
-        problems.append("output.dir must be a string")
-        return None
-    return out
+def _walk_list(items, spec, path, problems):
+    """Walk each object of a nonempty list with spec; null counts as absent."""
+    if items is None:
+        return []
+    if not isinstance(items, list) or not items:
+        problems.append(f"{path} must be a nonempty list of case objects")
+        return []
+    walked = []
+    for i, item in enumerate(items):
+        if isinstance(item, dict):
+            walked.append(_walk(item, spec, f"{path}[{i}]", problems))
+        else:
+            problems.append(f"{path}[{i}] must be an object")
+    return walked
+
+
+def _check_sweep(geometry, values, problems):
+    """Mark an interval sweep and tie the swept parameter to its geometry."""
+    if not isinstance(geometry, dict):
+        return
+    on_interval = "d" in geometry
+    if on_interval:
+        values["geometry"]["kind"] = "interval"
+    param = values.get("sweep", {}).get("parameter")
+    if param == "d" and not on_interval:
+        problems.append("sweep.parameter 'd' needs interval geometry (geometry.d)")
+    if param == "R" and on_interval:
+        problems.append("sweep.parameter 'R' needs circle or sphere geometry")
 
 
 def parse_config(text):
@@ -374,48 +280,44 @@ def parse_config(text):
     task = doc.get("task")
     if task is None:
         raise ValidationError(["missing required field task"])
-    if task not in TASKS:
+    if not isinstance(task, str) or task not in TASKS:
         raise ValidationError([f"unknown task {task!r}; choose from {', '.join(TASKS)}"])
 
-    problems = []
-    blocks = {"task", "output"}
-    if task != "compare":
-        blocks.add("coupling")
-    if task not in ("m-infinity", "compare"):
-        blocks.add("geometry")
-    if _SOLVER_KEYS[task]:
-        blocks.add("solver")
-    if task == "sweep":
-        blocks.add("sweep")
-    if task == "compare":
-        blocks.add("compare")
-    for key in sorted(set(doc) - blocks):
-        problems.append(f"unknown key {key} (task {task} allows: {', '.join(sorted(blocks))})")
-
-    coupling = _parse_coupling(doc, problems) if task != "compare" else None
-    geometry = _parse_geometry(doc, task, problems)
-    solver = _parse_solver(doc, task, problems)
-    sweep = _parse_sweep(doc, task, problems)
-    cases = _parse_cases(doc, problems) if task == "compare" else ()
-    out_dir = _parse_output(doc, problems)
-
-    if task == "sweep" and "parameter" in sweep and geometry:
-        kind = geometry.get("kind")
-        if sweep["parameter"] == "d" and kind != "interval":
-            problems.append("sweep.parameter 'd' needs interval geometry (geometry.d)")
-        if sweep["parameter"] == "R" and kind == "interval":
-            problems.append("sweep.parameter 'R' needs circle or sphere geometry")
+    blocks = {**TASKS[task], "output": _OUTPUT}
+    allowed = {"task", *blocks}
+    problems = [f"unknown key {key} (task {task} allows: {', '.join(sorted(allowed))})"
+                for key in sorted(set(doc) - allowed)]
+    values = {}
+    for name, spec in blocks.items():
+        block = doc.get(name)
+        specs = spec if isinstance(spec, tuple) else (spec,)
+        if block is None:
+            if any(required for s in specs for _, required in s.values()):
+                problems.append(f"missing required block {name}")
+            continue
+        if not isinstance(block, dict):
+            problems.append(f"{name} must be an object")
+            continue
+        if isinstance(spec, tuple):  # the sweep geometry: interval if it has d
+            spec = spec[0] if "d" in block else spec[1]
+        got = values[name] = _walk(block, spec, name, problems)
+        if "R" in got and "R_out" in got and got["R_out"] <= got["R"]:
+            problems.append(f"geometry.R_out must exceed R, got {got['R_out']} <= {got['R']}")
+    if "sweep" in blocks:
+        _check_sweep(doc.get("geometry"), values, problems)
 
     if problems:
         raise ValidationError(problems)
+    c = values.get("coupling")
     return RunConfig(
         task=task,
-        coupling=coupling,
-        geometry=geometry,
-        solver=solver,
-        sweep=sweep,
-        cases=cases,
-        out_dir=out_dir,
+        coupling=(c["alpha"], c["beta"], c["gamma"]) if c else None,
+        geometry=values.get("geometry", {}),
+        solver=values.get("solver", {}),
+        sweep=values.get("sweep", {}),
+        cases=tuple(harness.ComparisonCase(**case)
+                    for case in values.get("compare", {}).get("cases", ())),
+        out_dir=values.get("output", {}).get("dir"),
         sha256=sha256(text.encode("utf-8")).hexdigest(),
     )
 
@@ -440,19 +342,6 @@ def _safe_m_infinity(alpha, beta, gamma):
         return core.m_infinity(alpha, beta, gamma)
     except SurfintError:
         return None
-
-
-def _threads(n_jobs):
-    raw = os.environ.get("SURFINT_THREADS")
-    if raw is None:
-        return min(n_jobs, os.cpu_count() or 1) or 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValidationError(f"SURFINT_THREADS must be a positive integer, got {raw!r}")
-    return min(cap, n_jobs) or 1
 
 
 def _run_interval(cfg, verbose):
@@ -568,7 +457,7 @@ def _run_m_infinity(cfg, verbose):
 
 def _run_compare(cfg, verbose):
     cases = list(cfg.cases) or harness.build_comparison_suite()
-    verdicts = harness.run_suite(cases, max_workers=_threads(len(cases)))
+    verdicts = harness.run_suite(cases)
     all_ok = all(v.ordering_ok for v in verdicts)
     if verbose:
         for v in verdicts:
@@ -672,8 +561,7 @@ def _run_sweep(cfg, verbose):
         backend_used = "radial-grid"
 
     values = [float(v) for v in np.linspace(start, stop, steps)]
-    with ThreadPoolExecutor(max_workers=_threads(len(values))) as pool:
-        rows = list(pool.map(eval_point, values))
+    rows = [eval_point(v) for v in values]
     if verbose:
         print(f"sweep {param}: {steps} points via {backend_used}", file=sys.stderr)
 
@@ -694,16 +582,8 @@ def _run_sweep(cfg, verbose):
     return TaskOutcome(results, sweep=sweep_payload)
 
 
-_DISPATCH = {
-    "interval": _run_interval,
-    "sphere": _run_sphere,
-    "circle-fem": _run_circle_fem,
-    "radial-oracle": _run_radial_oracle,
-    "m-infinity": _run_m_infinity,
-    "compare": _run_compare,
-    "certify": _run_certify,
-    "sweep": _run_sweep,
-}
+# task "circle-fem" runs _run_circle_fem, and so on
+_DISPATCH = {task: globals()["_run_" + task.replace("-", "_")] for task in TASKS}
 
 
 def _cell(x):
@@ -739,7 +619,8 @@ def _write_sweep(path, sha, payload):
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _write_error(out_dir, sha, task, exc):
+def _fail(out_dir, sha, task, exc):
+    """Write error.json, report the error and return exit code 2."""
     os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "error.json"), {
         "error": type(exc).__name__,
@@ -748,6 +629,8 @@ def _write_error(out_dir, sha, task, exc):
         "config_sha256": sha,
         "version": VERSION,
     })
+    print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return 2
 
 
 def run(cfg, out_dir, verbose=False):
@@ -756,9 +639,7 @@ def run(cfg, out_dir, verbose=False):
     try:
         outcome = _DISPATCH[cfg.task](cfg, verbose)
     except SurfintError as exc:
-        _write_error(out_dir, cfg.sha256, cfg.task, exc)
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return _fail(out_dir, cfg.sha256, cfg.task, exc)
     report = {
         "task": cfg.task,
         "version": VERSION,
@@ -803,18 +684,15 @@ def main(argv=None):
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
-    sha = sha256(text.encode("utf-8")).hexdigest()
-    out_dir = args.out or "."
     try:
         cfg = parse_config(text)
-        if cfg.task != args.task:
-            raise ValidationError(
-                f"config task {cfg.task!r} does not match the command {args.task!r}")
     except SurfintError as exc:
-        _write_error(out_dir, sha, args.task, exc)
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    return run(cfg, args.out or cfg.out_dir or ".", args.verbose)
+        return _fail(args.out or ".", sha256(text.encode("utf-8")).hexdigest(), args.task, exc)
+    out_dir = args.out or cfg.out_dir or "."
+    if cfg.task != args.task:
+        return _fail(out_dir, cfg.sha256, args.task, ValidationError(
+            f"config task {cfg.task!r} does not match the command {args.task!r}"))
+    return run(cfg, out_dir, args.verbose)
 
 
 if __name__ == "__main__":

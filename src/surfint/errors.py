@@ -78,10 +78,6 @@ class UnknownRegionTag(SurfintError):
     """Mesh references a coupling region the field does not define."""
 
 
-class ConstraintDegenerate(SurfintError):
-    """Both trace-constraint coefficients vanished; cannot eliminate."""
-
-
 class ConvergenceFailure(SurfintError):
     """Iterative eigensolver failed to converge or residuals exceed tolerance."""
 

@@ -34,8 +34,6 @@ cross-check them against numerically certified eigenvalue counts.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
@@ -319,12 +317,9 @@ def build_comparison_suite():
     return cases
 
 
-def run_suite(cases, max_workers=None):
-    """Evaluate many cases concurrently (each case is pure)."""
-    if max_workers is None:
-        max_workers = min(len(cases), os.cpu_count() or 1) or 1
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(compare_spectra, cases))
+def run_suite(cases):
+    """Evaluate many cases in order."""
+    return [compare_spectra(case) for case in cases]
 
 
 def bound_state_certificate(field, geometry):

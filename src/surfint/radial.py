@@ -41,6 +41,7 @@ from .errors import (
 from .report import SpectrumReport
 
 OUTER_BCS = ("neumann", "dirichlet")
+NEG_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -162,20 +163,20 @@ def _cell_mass(lo_edge, hi_edge, dim2):
     return hi_edge - lo_edge
 
 
-def radial_fd_spectrum(geom, field, n_grid, neg_tol=1e-10):
+def radial_fd_spectrum(geom, field, n_grid):
     """Negative eigenvalues of one angular mode by banded FD.
 
     n_grid is the number of subintervals on EACH side of the interface,
     so doubling n_grid halves both mesh widths exactly (clean Richardson
     ladders).  Minimum 64.  Returns a RadialSpectrum for geom.mode.
 
-    Eigenvalues above -neg_tol are treated as nonnegative: a discrete
+    Eigenvalues above -NEG_TOL are treated as nonnegative: a discrete
     kernel (e.g. the constant state of an uncoupled Neumann problem)
     reappears at the 1e-13 level in floating point and must not be
     counted as a bound state.
     """
     lam = radial_mode_eigenvalues(geom, field, n_grid)
-    neg = tuple(float(x) for x in lam[lam < -abs(neg_tol)])
+    neg = tuple(float(x) for x in lam[lam < -NEG_TOL])
     return RadialSpectrum(
         neg,
         geom.mode,
@@ -300,9 +301,7 @@ def _assemble_radial(geom, rc, n_grid):
 
 def _fold_constraint(diag, off, weights, ia, rc):
     """Replace the trace pair (a, b) = (c_i, c_e) t by the single DOF t."""
-    ci, ce = rc.constraint_coefficients()
-    if abs(ci) < 1e-15 and abs(ce) < 1e-15:
-        raise SingularInterfaceStencil("both trace-constraint coefficients vanish")
+    ci, ce = rc.constraint_coefficients()  # c_i + c_e = 2: never both zero
     ib = ia + 1
     n = len(diag)
     nd = np.zeros(n - 1)

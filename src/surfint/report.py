@@ -17,24 +17,12 @@ class SpectrumReport:
     tolerances: name -> value for every tolerance that influenced the run.
     convergence: refinement-ladder data (grids, raw values, extrapolation,
     error bars).
-    certificates: name -> dict for analytic predictions checked against
-    the numbers.
     """
 
     eigenvalues: tuple
     N: int
     tolerances: dict = field(default_factory=dict)
     convergence: dict = field(default_factory=dict)
-    certificates: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "eigenvalues": [float(x) for x in self.eigenvalues],
-            "N": int(self.N),
-            "tolerances": dict(self.tolerances),
-            "convergence": _plain(self.convergence),
-            "certificates": _plain(self.certificates),
-        }
 
 
 def _plain(obj):
