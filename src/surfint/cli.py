@@ -75,7 +75,12 @@ VERSION = "0.1.0"
 
 
 def _is_num(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # a JSON integer beyond the float range
+        return False
 
 
 # Rules: each takes one JSON value and returns (value, problem), problem

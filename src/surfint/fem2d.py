@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -42,8 +41,7 @@ from .errors import (
 )
 from .report import SpectrumReport
 
-DENSE_LIMIT = 5000
-ARPACK_SHIFT = -4.0  # first shift-invert target, deepened 4x while it crowds the bottom
+ARPACK_SHIFT = -4.0  # first shift-invert target, deepened 4x until no eigenvalue is below it
 MIN_ANGLE_DEG = 20.0
 
 
@@ -406,24 +404,83 @@ def _constraint_map(field, mesh):
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, len(kept)), dtype=complex).tocsr()
 
 
-def lowest_eigenpairs(pencil, count):
-    """Lowest eigenpairs of the reduced pencil, expanded to full DOFs.
+def shifted_inertia(K, M, s):
+    """Number of eigenvalues of the pencil (K, M) below s, and the factor.
 
-    Dense generalized Hermitian solve up to DENSE_LIMIT reduced unknowns,
-    ARPACK shift-invert beyond (deterministic start vector).  Residuals
-    are checked: ||K x - lambda M x|| <= 1e-8 ||K x||.
+    Sylvester's law of inertia: with M positive definite, that number is
+    the negative inertia of K - s M.  SuperLU factors it with diagonal
+    pivots only, P (K - s M) P^T = L U, so diag(U) holds the pivots of an
+    L D L^H factorization and their signs give the inertia.  Returns
+    (count, SuperLU object).  Raises ConvergenceFailure when a pivot is
+    zero or SuperLU had to leave the diagonal: the count is then unknown.
     """
+    lu = spla.splu(
+        (K - s * M).tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+    pivots = lu.U.diagonal().real
+    if not np.array_equal(lu.perm_r, lu.perm_c) or np.any(pivots == 0.0):
+        raise ConvergenceFailure(f"no inertia for K - s M at s={s}: off-diagonal or zero pivot")
+    return int(np.count_nonzero(pivots < 0.0)), lu
+
+
+def _solver_matrices(pencil):
+    """Reduced (K, M), real when the pencil is."""
     K_r, M_r = pencil.reduced()
     if K_r.imag.count_nonzero() == 0:
         K_r, M_r = K_r.real, M_r.real
+    return K_r, M_r
+
+
+def lowest_eigenpairs(pencil, count):
+    """Lowest eigenpairs of the reduced pencil, expanded to full DOFs.
+
+    ARPACK shift-invert at a shift that shifted_inertia certifies is
+    below every eigenvalue, reusing that factorization.  The shift starts
+    at ARPACK_SHIFT and deepens 4x; it cannot pass the Gershgorin bound
+    lambda_1 >= -||K||_inf / lambda_min(M), where lambda_min(M) >=
+    min(lumped mass) / 4 for P1 elements.
+
+    A single Krylov start vector sees one copy of an exactly degenerate
+    eigenvalue (the m = +-1 pairs of the circle), so ARPACK may skip the
+    other.  The count below the top returned value (less a small delta)
+    must therefore equal the number returned below it; when it does not,
+    the values below keep their pairs and the rest are solved again
+    with those deflated.  Every pass keeps only certified pairs, and
+    there are at most ``count`` passes.  Residuals are checked:
+    ||K x - lambda M x|| <= 1e-8 ||K x||.
+    """
+    K_r, M_r = _solver_matrices(pencil)
     nr = K_r.shape[0]
     count = min(count, nr)
-    if nr <= DENSE_LIMIT:
-        vals, vecs = scipy.linalg.eigh(
-            K_r.toarray(), M_r.toarray(), subset_by_index=[0, count - 1]
-        )
+    lumped = abs(pencil.T).power(2).T @ np.asarray(pencil.M.sum(axis=1)).ravel().real
+    floor = -4.0 * abs(K_r).sum(axis=1).max() / lumped.min()
+    sigma = ARPACK_SHIFT
+    while True:
+        below, lu = shifted_inertia(K_r, M_r, sigma)
+        if below == 0:
+            break
+        if sigma < floor:
+            raise ConvergenceFailure(
+                f"{below} eigenvalues below the Gershgorin bound {floor:.3e}")
+        sigma *= 4.0
+    vals = np.empty(0)
+    vecs = np.empty((nr, 0), dtype=K_r.dtype)
+    for _ in range(count):
+        new_vals, new_vecs = _deflated_arpack(K_r, M_r, sigma, lu, count - len(vals), vecs)
+        vals = np.concatenate([vals, new_vals])
+        vecs = np.hstack([vecs, new_vecs])
+        order = np.argsort(vals)
+        vals, vecs = vals[order], vecs[:, order]
+        top = vals[-1] - 1e-8 * max(1.0, abs(vals[-1]))
+        certified = vals < top
+        if shifted_inertia(K_r, M_r, top)[0] == np.count_nonzero(certified):
+            break
+        vals, vecs = vals[certified], vecs[:, certified]
     else:
-        vals, vecs = _sparse_lowest(K_r, M_r, count)
+        raise ConvergenceFailure(f"ARPACK kept skipping eigenvalues below {top:.6e}")
     out = []
     for i in range(count):
         x = vecs[:, i]
@@ -441,23 +498,25 @@ def lowest_eigenpairs(pencil, count):
     return out
 
 
-def _sparse_lowest(K_r, M_r, count):
-    nr = K_r.shape[0]
-    v0 = np.ones(nr)
-    sigma = ARPACK_SHIFT
-    for _ in range(6):
-        try:
-            vals, vecs = spla.eigsh(K_r, k=count, M=M_r, sigma=sigma, which="LM", v0=v0)
-        except spla.ArpackNoConvergence as exc:
-            raise ConvergenceFailure(f"ARPACK did not converge at sigma={sigma}") from exc
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-        # if the deepest value crowds the shift, the true bottom may lie
-        # below the window: deepen and retry
-        if vals[0] > 0.7 * sigma:
-            return vals, vecs
-        sigma *= 4.0
-    raise ConvergenceFailure("shift-invert window kept crowding the spectrum bottom")
+def _deflated_arpack(K_r, M_r, sigma, lu, k, found):
+    """Lowest k eigenpairs M-orthogonal to the columns of ``found``.
+
+    lu factors K - sigma M with sigma below the spectrum, so the largest
+    eigenvalues of (K - sigma M)^-1 M are the lowest of the pencil.
+    """
+    m_found = M_r @ found
+    gram = found.conj().T @ m_found
+
+    def deflate(z):  # M-orthogonal projection onto the complement of found
+        return z - found @ np.linalg.solve(gram, m_found.conj().T @ z)
+
+    op_inv = spla.LinearOperator(K_r.shape, matvec=lambda y: deflate(lu.solve(y)), dtype=K_r.dtype)
+    rng = np.random.default_rng(0)  # deterministic, and without the mesh's symmetry
+    v0 = deflate(rng.standard_normal(K_r.shape[0]))
+    try:
+        return spla.eigsh(K_r, k=k, M=M_r, sigma=sigma, which="LM", v0=v0, OPinv=op_inv, rng=rng)
+    except spla.ArpackNoConvergence as exc:
+        raise ConvergenceFailure(f"ARPACK did not converge at sigma={sigma}") from exc
 
 
 def negative_spectrum_fem(field, R, R_out, h, count=6):
@@ -465,11 +524,12 @@ def negative_spectrum_fem(field, R, R_out, h, count=6):
 
     Runs meshes at widths (h, h/2, h/4) at the given R_out, Richardson
     extrapolates each tracked eigenvalue, and measures the domain
-    truncation by an extra run at (h/2, 1.5 R_out).  Reported eigenvalues
-    are the extrapolated negative ones; N counts negatives on the finest
-    mesh.
+    truncation by an extra run at (h/2, 1.5 R_out).  N is the inertia
+    count of the finest pencil below -radial.NEG_TOL, so a Neumann zero
+    mode is not a bound state.  The extrapolated values of the lowest
+    min(N, count) are reported; truncated_count says N > count.
     """
-    from .radial import richardson  # local import avoids a cycle at module load
+    from .radial import NEG_TOL, richardson  # local import avoids a cycle at module load
 
     ladders = []
     sizes = []
@@ -479,15 +539,14 @@ def negative_spectrum_fem(field, R, R_out, h, count=6):
         pairs = lowest_eigenpairs(pencil, count)
         ladders.append([lam for lam, _ in pairs])
         sizes.append(pencil.n_reduced)
+    n_neg = shifted_inertia(*_solver_matrices(pencil), -NEG_TOL)[0]  # finest pencil
     mesh_w = build_mesh(R, 1.5 * R_out, h / 2)
     pairs_w = lowest_eigenpairs(assemble(field, mesh_w), count)
     wide = [lam for lam, _ in pairs_w]
 
-    finest = ladders[-1]
-    n_neg = sum(1 for lam in finest if lam < 0)
     eigenvalues = []
     error_bars = []
-    for k in range(n_neg):
+    for k in range(min(n_neg, count)):
         ext, err = richardson([ladders[0][k], ladders[1][k], ladders[2][k]])
         trunc = abs(wide[k] - ladders[1][k]) if k < len(wide) else 0.0
         eigenvalues.append(ext)
@@ -504,7 +563,7 @@ def negative_spectrum_fem(field, R, R_out, h, count=6):
             "R_out_check": 1.5 * R_out,
             "wide_values": list(wide),
             "error_bars": error_bars,
-            "truncated_count": bool(n_neg == count),
+            "truncated_count": bool(n_neg > count),
         },
     )
 

@@ -22,7 +22,7 @@ min-max index):
 Geometries: "interval" uses the exact 1-D two-point solver (the same
 form inequalities hold verbatim on the Neumann interval, reported as the
 1-D analogue), "circle-fem" assembles both couplings on one shared mesh,
-and "sphere-radial" compares per-mode banded FD spectra on one shared
+and "sphere-radial" compares per-mode tridiagonal FD spectra on one shared
 grid; in the discrete settings the ordering transfers exactly because
 the twisting unitaries act diagonally on nodal values, so violations
 beyond round-off are real bugs, not discretization slack.

@@ -11,9 +11,12 @@ radial problem per angular mode:
 The discretization is a conservative control-volume scheme: stiffness is
 assembled face by face as sum_faces (w_face/h) |psi_{j+1} - psi_j|^2, so
 the matrix pencil (K, W) is Hermitian tridiagonal with diagonal positive
-weight W, and scipy's banded solver returns every eigenvalue with a
-guaranteed count.  The interface at r = R carries two trace unknowns
-(inner a, outer b); the surface term subtracts w(R) <Theta_eff v, v> from
+weight W.  W^{-1/2} K W^{-1/2} is unitarily similar to the real symmetric
+tridiagonal with off-diagonal |K_{j,j+1}| / sqrt(W_j W_{j+1}), and only
+the eigenvalues asked for are computed, by bisection on its Sturm counts
+(LAPACK stebz): those below -NEG_TOL for a spectrum, the lowest ``count``
+for a comparison.  The Sturm count certifies how many there are.  The
+interface at r = R carries two trace unknowns (inner a, outer b); the surface term subtracts w(R) <Theta_eff v, v> from
 the form, where Theta_eff is the coupling matrix (plus diag(1/R, -1/R) in
 the u variable, which absorbs the substitution's boundary terms).  On a
 constrained region the traces are folded onto the single unknown t via
@@ -30,7 +33,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import eig_banded
+from scipy.linalg import eigvalsh_tridiagonal
 
 from . import core
 from .errors import (
@@ -42,6 +45,9 @@ from .report import SpectrumReport
 
 OUTER_BCS = ("neumann", "dirichlet")
 NEG_TOL = 1e-10
+# bisection to full accuracy; stebz's default tolerance eps * ||T||_1
+# drifts by 1e-8 to 1e-7 on fine grids
+STURM_TOL = 2.0 * np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -164,7 +170,7 @@ def _cell_mass(lo_edge, hi_edge, dim2):
 
 
 def radial_fd_spectrum(geom, field, n_grid):
-    """Negative eigenvalues of one angular mode by banded FD.
+    """Negative eigenvalues of one angular mode by tridiagonal FD.
 
     n_grid is the number of subintervals on EACH side of the interface,
     so doubling n_grid halves both mesh widths exactly (clean Richardson
@@ -173,12 +179,15 @@ def radial_fd_spectrum(geom, field, n_grid):
     Eigenvalues above -NEG_TOL are treated as nonnegative: a discrete
     kernel (e.g. the constant state of an uncoupled Neumann problem)
     reappears at the 1e-13 level in floating point and must not be
-    counted as a bound state.
+    counted as a bound state.  Only the eigenvalues in
+    (Gershgorin lower bound, -NEG_TOL] are computed.
     """
-    lam = radial_mode_eigenvalues(geom, field, n_grid)
-    neg = tuple(float(x) for x in lam[lam < -NEG_TOL])
+    d, e = _mode_tridiagonal(geom, field, n_grid)
+    # Gershgorin bound, moved off it: stebz searches the half-open (lo, hi]
+    lo = float(np.min(d - np.append(e, 0.0) - np.insert(e, 0, 0.0))) - 1.0
+    neg = eigvalsh_tridiagonal(d, e, select="v", select_range=(lo, -NEG_TOL), tol=STURM_TOL)
     return RadialSpectrum(
-        neg,
+        tuple(float(x) for x in neg),
         geom.mode,
         {
             "n_grid": int(n_grid),
@@ -186,19 +195,25 @@ def radial_fd_spectrum(geom, field, n_grid):
             "h_outer": (geom.R_out - geom.R) / n_grid,
             "outer_bc": geom.outer_bc,
             "dimension": geom.dimension,
-            "size": int(len(lam)),
+            "size": int(len(d)),
         },
     )
 
 
-def radial_mode_eigenvalues(geom, field, n_grid, count=None):
-    """All discrete eigenvalues (ascending) of one angular mode.
+def radial_mode_eigenvalues(geom, field, n_grid, count):
+    """Lowest ``count`` discrete eigenvalues (ascending) of one angular mode.
 
-    The comparison harness needs the full discrete spectrum, not just
-    the negative part, because variational eigenvalue orderings hold for
-    every index of the shared nodal space.  Returns the lowest ``count``
-    values, or all of them when count is None.
+    The comparison harness needs positive eigenvalues as well as negative
+    ones, because variational eigenvalue orderings hold for every index
+    of the shared nodal space.  Only those ``count`` values are computed.
     """
+    d, e = _mode_tridiagonal(geom, field, n_grid)
+    last = min(int(count), len(d)) - 1
+    return eigvalsh_tridiagonal(d, e, select="i", select_range=(0, last), tol=STURM_TOL)
+
+
+def _mode_tridiagonal(geom, field, n_grid):
+    """Real symmetric tridiagonal (diag, offdiag) with the mode's spectrum."""
     if n_grid < 64:
         raise ValidationError(f"n_grid must be at least 64, got {n_grid}")
     rc = field.single
@@ -208,8 +223,8 @@ def radial_mode_eigenvalues(geom, field, n_grid, count=None):
             "system is singular"
         )
     diag, off, weights = _assemble_radial(geom, rc, n_grid)
-    lam = _banded_eigenvalues(diag, off, weights)
-    return lam if count is None else lam[: int(count)]
+    s = 1.0 / np.sqrt(weights)
+    return diag * s * s, np.abs(off) * s[:-1] * s[1:]
 
 
 def _assemble_radial(geom, rc, n_grid):
@@ -326,15 +341,6 @@ def _fold_constraint(diag, off, weights, ia, rc):
     if ib < n - 1:
         no[ia] = np.conj(ce) * off[ib]  # K[t, v_1]
     return nd, no, nw
-
-
-def _banded_eigenvalues(diag, off, weights):
-    """All eigenvalues of K x = lambda W x via W^{-1/2} symmetrization."""
-    s = 1.0 / np.sqrt(weights)
-    band = np.zeros((2, len(diag)), dtype=complex)
-    band[1] = diag * s * s
-    band[0, 1:] = off * s[:-1] * s[1:]
-    return eig_banded(band, lower=False, eigvals_only=True)
 
 
 def richardson(values, order=2, ratio=2.0):

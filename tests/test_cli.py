@@ -390,6 +390,20 @@ PROBLEM_CASES = [
          "geometry.R must be a finite number",
          "sweep.parameter 'd' needs interval geometry (geometry.d)"],
         id="sweep-d-on-radial-geometry"),
+    pytest.param(
+        {"task": "interval", "coupling": {"alpha": 10**400, "beta": 0.0, "gamma": [0.0, -10**400]},
+         "geometry": {"d": 10**400}, "solver": {"k_max": -10**400}},
+        ParseError,
+        ["coupling.gamma must be a [re, im] pair of numbers"],
+        id="integers-beyond-float-gamma"),
+    pytest.param(
+        {"task": "interval", "coupling": {"alpha": 10**400, "beta": 0.0, "gamma": [0.0, 0.0]},
+         "geometry": {"d": 10**400}, "solver": {"k_max": -10**400}},
+        ValidationError,
+        ["coupling.alpha must be a finite number",
+         "geometry.d must be a finite number",
+         "solver.k_max must be a finite number"],
+        id="integers-beyond-float"),
 ]
 
 
@@ -498,6 +512,41 @@ def test_error_run_writes_error_json(tmp_path):
     assert "geometry.d" in err["detail"]
     assert len(err["config_sha256"]) == 64
     assert not (out / "report.json").exists()
+
+
+def test_integer_beyond_float_writes_error_json(tmp_path):
+    doc = dict(INTERVAL_DOC, coupling=dict(INTERVAL_DOC["coupling"], alpha=10**400))
+    code, out = run_cli(tmp_path, "interval", doc)
+    assert code == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ValidationError"
+    assert err["detail"] == "coupling.alpha must be a finite number"
+
+
+def test_circle_fem_reports_the_certified_count(tmp_path):
+    # the free coupling (2, 1) has exactly six states on the finest mesh
+    # (h = 0.15); eigen_count 4 reports the lowest four of them
+    doc = {"task": "circle-fem", "coupling": {"alpha": 2.0, "beta": 1.0, "gamma": [0.0, 0.0]},
+           "geometry": {"R": 1.0, "h": 0.6}}
+    for eigen_count, truncated in ((4, True), (6, False)):
+        code, out = run_cli(tmp_path, "circle-fem", dict(doc, solver={"eigen_count": eigen_count}),
+                            out=f"count{eigen_count}")
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["results"]["N"] == 6
+        assert len(report["results"]["eigenvalues"]) == eigen_count
+        assert report["convergence"]["truncated_count"] is truncated
+
+
+def test_circle_fem_neumann_zero_mode_is_not_a_bound_state(tmp_path):
+    doc = {"task": "circle-fem", "coupling": {"alpha": 0.0, "beta": 0.0, "gamma": [0.0, 0.0]},
+           "geometry": {"R": 1.0, "h": 0.6}}
+    code, out = run_cli(tmp_path, "circle-fem", doc)
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["results"]["N"] == 0
+    assert report["results"]["eigenvalues"] == []
+    assert report["convergence"]["raw"][-1][0] > -1e-10  # the zero mode is computed
 
 
 def test_task_command_mismatch_exits_two(tmp_path):

@@ -9,6 +9,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.special
 from hypothesis import given, settings, strategies as st
@@ -36,8 +37,7 @@ def fem_ladder_ground_state(field, R_out=6.0, h=0.2):
     vals = []
     for lvl in range(3):
         mesh = fem2d.build_mesh(1.0, R_out, h / 2**lvl)
-        pairs = fem2d.lowest_eigenpairs(fem2d.assemble(field, mesh), 2)
-        vals.append(pairs[0][0])
+        vals.append(fem2d.lowest_eigenpairs(fem2d.assemble(field, mesh), 1)[0][0])
     return radial.richardson(vals)[0], vals
 
 
@@ -281,3 +281,58 @@ def test_negative_spectrum_report():
     assert rep.convergence["error_bars"][0] < 1e-3
     assert len(rep.convergence["raw"]) == 3
     assert not rep.convergence["truncated_count"]
+
+
+def dense_eigenvalues(pencil, count):
+    K_r, M_r = pencil.reduced()
+    return scipy.linalg.eigvalsh(K_r.toarray(), M_r.toarray(), subset_by_index=[0, count - 1])
+
+
+SMALL_PENCILS = {
+    "real-free": core.delta_prime_field(1.0),
+    "complex-free": core.uniform_field(1.0, 2.0, 0.5 + 1.5j),
+    "real-constrained": core.uniform_field(2.0, 0.0, 0.5),
+    "complex-constrained": core.uniform_field(2.0, 0.0, 1j),
+    "neumann": core.uniform_field(0.0, 0.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", SMALL_PENCILS)
+def test_inertia_count_matches_dense_count(name):
+    pencil = fem2d.assemble(SMALL_PENCILS[name], fem2d.build_mesh(1.0, 3.0, 0.5))
+    dense = dense_eigenvalues(pencil, pencil.n_reduced)
+    K_r, M_r = pencil.reduced()
+    for s in (-1e-10, 1e-10, -1.0, 2.0):
+        assert fem2d.shifted_inertia(K_r, M_r, s)[0] == np.count_nonzero(dense < s)
+    # constants span a kernel when alpha = 0 and gamma = 0 (the beta term
+    # sees only normal derivatives); it sits between the two thresholds
+    zero_modes = np.count_nonzero(np.abs(dense) < 1e-10)
+    assert zero_modes == (1 if name in ("real-free", "neumann") else 0)
+
+
+@pytest.mark.parametrize("field", [
+    core.delta_prime_field(1.0),
+    # here a single ARPACK run returns the 7th eigenvalue in place of the
+    # 6th, the second copy of the pair at indices 4 and 5
+    core.uniform_field(2.098620139824451, 1.0538108701161237, 0.1988215735497317 + 0.4791303572468414j),
+], ids=["real", "complex"])
+def test_lowest_eigenpairs_keep_both_copies_of_a_degenerate_pair(field):
+    pencil = fem2d.assemble(field, fem2d.build_mesh(1.0, 3.0, 0.3))
+    dense = dense_eigenvalues(pencil, 8)
+    pairs = [i for i in range(7) if abs(dense[i + 1] - dense[i]) < 1e-10]
+    assert pairs  # m = +-1, +-2, ... pairs of the circle
+    for k in range(1, 8):
+        vals = [lam for lam, _ in fem2d.lowest_eigenpairs(pencil, k)]
+        assert np.allclose(vals, dense[:k], rtol=0.0, atol=1e-9)
+
+
+def test_negative_spectrum_skips_the_neumann_zero_mode():
+    # a dense solve on the finest mesh (h = 0.15) finds 3 eigenvalues below
+    # -1e-10; the fourth lowest is the zero mode at the 1e-13 level
+    rep = fem2d.negative_spectrum_fem(core.delta_prime_field(1.0), 1.0, 3.0, 0.6)
+    assert rep.N == 3
+    assert abs(rep.convergence["raw"][-1][3]) < 1e-10
+    assert len(rep.eigenvalues) == 3
+    assert not rep.convergence["truncated_count"]
+    none = fem2d.negative_spectrum_fem(core.uniform_field(0.0, 0.0, 0.0), 1.0, 3.0, 0.6)
+    assert none.N == 0 and none.eigenvalues == ()

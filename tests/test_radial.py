@@ -1,7 +1,10 @@
 """Radial solvers against independent matching/Bessel oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.linalg import eig_banded
 from scipy.optimize import brentq
 from scipy.special import iv, kv
 
@@ -197,3 +200,61 @@ def test_singular_stencil_guard():
     bad = si.CouplingField((("interface", si.RegionCoupling(1.0, 0.0, 0.0, si.FREE)),))
     with pytest.raises(SingularInterfaceStencil):
         radial.radial_fd_spectrum(geom2(), bad, 128)
+
+
+# ------------------------------------------- selective solves vs full oracle
+
+
+def banded_eigenvalues(geom, field, n_grid):
+    """Every eigenvalue of K x = lambda W x, by a full complex banded solve."""
+    diag, off, weights = radial._assemble_radial(geom, field.single, n_grid)
+    s = 1.0 / np.sqrt(weights)
+    band = np.zeros((2, len(diag)), dtype=complex)
+    band[1] = diag * s * s
+    band[0, 1:] = off * s[:-1] * s[1:]
+    return eig_banded(band, lower=False, eigvals_only=True)
+
+
+@pytest.mark.parametrize("field", [
+    si.uniform_field(2.0, 1.0, 0.5 + 0.3j),
+    si.uniform_field(4.4, 0.0, 0.0),
+    si.uniform_field(2.5, 0.0, 0.3j),
+], ids=["free-complex", "delta", "constrained-complex"])
+def test_selective_solves_match_full_banded_solve(field):
+    for dim in (2, 3):
+        for bc in radial.OUTER_BCS:
+            for mode in (0, 1, 2):
+                geom = radial.RadialGeometry(dim, 1.0, 8.0, bc, mode)
+                full = banded_eigenvalues(geom, field, 256)
+                scale = np.maximum(1.0, np.abs(full))
+                lowest = radial.radial_mode_eigenvalues(geom, field, 256, count=6)
+                assert np.all(np.abs(lowest - full[:6]) <= 1e-9 * scale[:6])
+                neg = radial.radial_fd_spectrum(geom, field, 256)
+                want = full[full < -radial.NEG_TOL]
+                assert len(neg.eigenvalues) == len(want)
+                assert np.all(np.abs(np.array(neg.eigenvalues) - want) <= 1e-9 * scale[: len(want)])
+                assert neg.grid["size"] == len(full)
+
+
+def test_selective_negative_count_on_a_fine_grid():
+    # n_grid 2048: the count is exact and the values hold 1e-9 relative
+    geom = radial.RadialGeometry(2, 1.0, 8.0, "neumann", 1)
+    field = si.uniform_field(6.0, 1.0, 0.5j)
+    full = banded_eigenvalues(geom, field, 2048)
+    want = full[full < -radial.NEG_TOL]
+    got = np.array(radial.radial_fd_spectrum(geom, field, 2048).eigenvalues)
+    assert len(got) == len(want) >= 1
+    assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+    assert radial.radial_fd_spectrum(replace(geom, mode=0), si.delta_field(0.0), 2048).eigenvalues == ()
+
+
+def test_sturm_tolerance_resolves_a_shallow_state():
+    # a shallow s-wave state (-0.036) next to ||T|| ~ 1e7: the default
+    # stebz tolerance eps * ||T||_1 is off by 8e-10, the full solve and
+    # full-accuracy bisection agree to 6e-11
+    geom = radial.RadialGeometry(3, 1.0, 20.0, "neumann", 0)
+    field = si.delta_field(1.2)
+    want = banded_eigenvalues(geom, field, 2048)[0]
+    got = radial.radial_fd_spectrum(geom, field, 2048).eigenvalues
+    assert len(got) == 1
+    assert abs(got[0] - want) <= 2e-10
