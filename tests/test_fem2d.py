@@ -310,20 +310,35 @@ def test_inertia_count_matches_dense_count(name):
     assert zero_modes == (1 if name in ("real-free", "neumann") else 0)
 
 
-@pytest.mark.parametrize("field", [
-    core.delta_prime_field(1.0),
+@pytest.mark.parametrize("field, h", [
+    (core.delta_prime_field(1.0), 0.3),
     # here a single ARPACK run returns the 7th eigenvalue in place of the
     # 6th, the second copy of the pair at indices 4 and 5
-    core.uniform_field(2.098620139824451, 1.0538108701161237, 0.1988215735497317 + 0.4791303572468414j),
-], ids=["real", "complex"])
-def test_lowest_eigenpairs_keep_both_copies_of_a_degenerate_pair(field):
-    pencil = fem2d.assemble(field, fem2d.build_mesh(1.0, 3.0, 0.3))
+    (core.uniform_field(2.098620139824451, 1.0538108701161237,
+                        0.1988215735497317 + 0.4791303572468414j), 0.3),
+    # here a single ARPACK run for k = 3 stops with residual 6e-8 on the
+    # first copy of the pair at indices 2 and 3
+    (core.uniform_field(0.393215731299811, 2.220315515302655, 0.0), 0.2),
+], ids=["real", "skipped-copy", "stalled-residual"])
+def test_lowest_eigenpairs_keep_both_copies_of_a_degenerate_pair(field, h):
+    pencil = fem2d.assemble(field, fem2d.build_mesh(1.0, 3.0, h))
     dense = dense_eigenvalues(pencil, 8)
     pairs = [i for i in range(7) if abs(dense[i + 1] - dense[i]) < 1e-10]
     assert pairs  # m = +-1, +-2, ... pairs of the circle
+    assert pencil.n_reduced == pencil.n_full  # free couplings: vectors are reduced ones
     for k in range(1, 8):
-        vals = [lam for lam, _ in fem2d.lowest_eigenpairs(pencil, k)]
-        assert np.allclose(vals, dense[:k], rtol=0.0, atol=1e-9)
+        pairs = fem2d.lowest_eigenpairs(pencil, k)
+        assert np.allclose([lam for lam, _ in pairs], dense[:k], rtol=0.0, atol=1e-9)
+        for lam, x in pairs:
+            kx, mx = pencil.K @ x, pencil.M @ x
+            assert np.linalg.norm(kx - lam * mx) <= 1e-8 * (
+                np.linalg.norm(kx) + (1.0 + abs(lam)) * np.linalg.norm(mx))
+
+
+def test_lowest_eigenpairs_refuses_a_count_arpack_cannot_reach():
+    pencil = fem2d.assemble(core.delta_field(1.0), fem2d.build_mesh(1.0, 3.0, 0.6))
+    with pytest.raises(ValidationError, match="n - 2"):
+        fem2d.lowest_eigenpairs(pencil, pencil.n_reduced - 2)
 
 
 def test_negative_spectrum_skips_the_neumann_zero_mode():
