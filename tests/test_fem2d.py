@@ -323,8 +323,8 @@ def test_inertia_count_matches_dense_count(name):
 def test_lowest_eigenpairs_keep_both_copies_of_a_degenerate_pair(field, h):
     pencil = fem2d.assemble(field, fem2d.build_mesh(1.0, 3.0, h))
     dense = dense_eigenvalues(pencil, 8)
-    pairs = [i for i in range(7) if abs(dense[i + 1] - dense[i]) < 1e-10]
-    assert pairs  # m = +-1, +-2, ... pairs of the circle
+    twins = [i for i in range(7) if abs(dense[i + 1] - dense[i]) < 1e-10]
+    assert twins  # m = +-1, +-2, ... pairs of the circle
     assert pencil.n_reduced == pencil.n_full  # free couplings: vectors are reduced ones
     for k in range(1, 8):
         pairs = fem2d.lowest_eigenpairs(pencil, k)
