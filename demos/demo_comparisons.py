@@ -3,7 +3,7 @@
 Each comparison family states a hypothesis on two couplings under which
 every negative eigenvalue of one operator sits below its partner's.
 The harness validates the hypothesis symbolically, then solves both
-sides (exact interval scan, or circle FEM on one shared mesh so the
+sides (exact interval solver, or circle FEM on one shared mesh so the
 variational ordering survives discretization) and reports the worst
 margin.  A negative margin beyond tolerance would falsify the family.
 """

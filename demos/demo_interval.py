@@ -4,7 +4,8 @@ The operator is the free Laplacian on (-d, d) with Neumann ends and a
 singular interaction at the origin parameterized by (alpha, beta, gamma):
 alpha weights the mean trace, beta the jump, and the complex gamma mixes
 the two.  Negative eigenvalues lambda = -k^2 are roots of an explicit
-characteristic function, so everything here is exact up to bisection.
+characteristic function, which reduces to a quadratic in k tanh(kd), so
+everything here is exact up to bisection.
 """
 
 import numpy as np

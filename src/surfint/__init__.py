@@ -3,9 +3,9 @@
 Subpackages by capability:
 
 - core: coupling validation, the 2x2 surface matrix, closed-form band
-  bottoms, form lower bounds.
-- interval: exact 1-D negative spectrum via characteristic-function
-  scanning with a determinant cross-check.
+  bottoms, form lower bounds, the bisection root-finder.
+- interval: exact 1-D negative spectrum from the roots of a secular
+  quadratic, with a determinant cross-check.
 - radial: sphere s-wave matching and radially reduced finite-difference
   spectra for disks/balls with the interaction on a concentric
   circle/sphere.
@@ -34,7 +34,6 @@ from .core import (
 from .interval import (
     IntervalProblem,
     IntervalSpectrum,
-    RootBracket,
     characteristic_ghj,
     characteristic_scaled,
     determinant_oracle,
@@ -65,7 +64,6 @@ __all__ = [
     "validate_coupling",
     "IntervalProblem",
     "IntervalSpectrum",
-    "RootBracket",
     "characteristic_ghj",
     "characteristic_scaled",
     "determinant_oracle",

@@ -16,8 +16,10 @@ and keys each accepts (* marks a required key; a block is required when
 it has one).  Every task but compare takes coupling* (alpha*, beta*,
 gamma*) and every task takes output (dir):
 
-    interval       exact negative spectrum on the symmetric interval
-                   geometry* d*;  solver: grid, k_max, tol
+    interval       exact negative spectrum on the symmetric interval,
+                   one eigenvalue per positive root of its secular
+                   quadratic; k_max is an optional window on k
+                   geometry* d*;  solver: k_max, tol
     sphere         radial FD mode sum on the 3-D sphere interface
                    geometry* R*, R_out;  solver: n_grid, modes, outer_bc
     circle-fem     2-D interface FEM with an (h, R_out) refinement ladder
@@ -28,7 +30,8 @@ gamma*) and every task takes output (dir):
                    solver: verify_interval
     compare        eigenvalue-ordering suite (built-in 20 cases or custom)
                    compare: cases, a list of {case_id*, alpha*, beta*,
-                   gamma*, reference*, geometry*, params, k_count}
+                   gamma*, reference*, geometry*, params, k_count};
+                   params holds only the keys of harness.PARAMS
     certify        bound-state existence/nonexistence certificates
                    geometry* kind*, R*, R_out, n_grid
     sweep          one coupling/geometry parameter swept over a range
@@ -164,8 +167,7 @@ TASKS = {
     "interval": {
         "coupling": _COUPLING,
         "geometry": {"d": (_positive, True)},
-        "solver": {"grid": (_count, False), "k_max": (_positive, False),
-                   "tol": (_positive, False)},
+        "solver": {"k_max": (_positive, False), "tol": (_positive, False)},
     },
     "sphere": {
         "coupling": _COUPLING,
@@ -352,7 +354,7 @@ def _safe_m_infinity(alpha, beta, gamma):
 def _run_interval(cfg, verbose):
     a, b, g = cfg.coupling
     prob = interval.IntervalProblem(alpha=a, beta=b, gamma=g, d=cfg.geometry["d"])
-    kwargs = {k: cfg.solver[k] for k in ("grid", "k_max", "tol") if k in cfg.solver}
+    kwargs = {k: cfg.solver[k] for k in ("k_max", "tol") if k in cfg.solver}
     spec = interval.negative_spectrum(prob, **kwargs)
     diag = spec.diagnostics
     rows = [
@@ -371,13 +373,8 @@ def _run_interval(cfg, verbose):
         "census_expected": diag["census_expected"],
         "degenerate": diag["degenerate"],
     }
-    tolerances = {
-        "bisect_tol": kwargs.get("tol", 1e-12),
-        "grid": diag["grid"],
-        "k_max": diag["k_max"],
-    }
-    return TaskOutcome(results, tolerances,
-                       {"scan_attempts": diag["scan_attempts"]}, rows)
+    tolerances = {"bisect_tol": kwargs.get("tol", 1e-12), "k_max": diag["k_max"]}
+    return TaskOutcome(results, tolerances, spectrum_rows=rows)
 
 
 def _run_sphere(cfg, verbose):

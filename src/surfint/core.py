@@ -1,4 +1,4 @@
-"""Coupling data and closed-form spectral quantities.
+"""Coupling data, closed-form spectral quantities and the root-finder.
 
 Conventions used throughout the package
 ---------------------------------------
@@ -258,7 +258,7 @@ def m_infinity(alpha, beta, gamma):
 
     Other sign regimes are rejected.  The discriminant is provably
     nonnegative on this domain ((4+D)^2 - 16ab = (ab + |g|^2 - 4)^2
-    + 8|g|^2 >= 0); NegativeDiscriminant guards against rounding anomalies
+    + 16|g|^2 >= 0); NegativeDiscriminant guards against rounding anomalies
     rather than a reachable mathematical case.
     """
     problems = []
@@ -309,3 +309,36 @@ def form_lower_bound(field):
         worst = max(worst, lam_max)
     eta = -worst if worst > 0.0 else -1e-12
     return FormBound(eta, tuple(per_region))
+
+
+def bisect(f, lo, hi, tol):
+    """Root of f on [lo, hi], given f(lo) <= 0 <= f(hi).
+
+    Halves the bracket, keeping that sign pattern, until it is at most
+    tol wide or its ends are adjacent floats (tol = 0 asks for the
+    latter), and returns its midpoint.  A zero of f at either end or at a
+    midpoint is returned as is.  Every step halves the bracket, so the
+    loop ends.  Raises ValidationError when the ends break the sign
+    pattern (a NaN included).
+    """
+    flo, fhi = f(lo), f(hi)
+    if not (lo <= hi and flo <= 0.0 <= fhi):
+        raise ValidationError(
+            f"[{lo}, {hi}] brackets no root: f(lo) = {flo}, f(hi) = {fhi}"
+        )
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        fmid = f(mid)
+        if fmid == 0.0:
+            return mid
+        if fmid < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

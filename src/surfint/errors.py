@@ -45,21 +45,9 @@ class NegativeDiscriminant(SurfintError):
     """Discriminant of the threshold quadratic went negative.
 
     Unreachable for alpha, beta >= 0 (the discriminant equals
-    (alpha*beta + |gamma|^2 - 4)^2 + 8|gamma|^2 >= 0); kept as a guard
+    (alpha*beta + |gamma|^2 - 4)^2 + 16|gamma|^2 >= 0); kept as a guard
     against silent domain violations.
     """
-
-
-class ScanTooCoarse(SurfintError):
-    """Root scan found fewer sign changes than the structural count.
-
-    Raised only after automatic grid refinement and scan-window extension
-    have been exhausted.
-    """
-
-
-class BracketFailure(SurfintError):
-    """A bisection bracket could not be established or refined."""
 
 
 class NotAnEigenvalue(SurfintError):

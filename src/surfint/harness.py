@@ -34,17 +34,13 @@ cross-check them against numerically certified eigenvalue counts.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
 from . import core, fem2d, interval, radial
-from .errors import (
-    CaseInapplicable,
-    GeometryUnavailable,
-    ScanTooCoarse,
-    ValidationError,
-)
+from .errors import CaseInapplicable, GeometryUnavailable, ValidationError
 
 CASE_IDS = (
     "alpha_direct",
@@ -53,7 +49,13 @@ CASE_IDS = (
     "alpha_gamma",
     "deltaprime_lower",
 )
-GEOMETRIES = ("interval", "circle-fem", "sphere-radial")
+# the params keys each geometry reads
+PARAMS = {
+    "interval": ("d",),
+    "circle-fem": ("R", "R_out", "h"),
+    "sphere-radial": ("R", "R_out", "n_grid", "mode_max", "outer_bc"),
+}
+GEOMETRIES = tuple(PARAMS)
 
 TOLERANCES = {"interval": 1e-10, "circle-fem": 1e-8, "sphere-radial": 1e-8}
 
@@ -70,9 +72,8 @@ class ComparisonCase:
 
     reference is the matched strength of the comparison operator: a
     delta strength for the first four families, a delta-prime strength
-    for deltaprime_lower.  params carries the geometry data: {"d": ...}
-    for the interval, {"R", "R_out", "h"} for circle-fem,
-    {"R", "R_out", "n_grid", "mode_max"} for sphere-radial.
+    for deltaprime_lower.  params carries the geometry data, under the
+    keys PARAMS lists for the geometry.
     """
 
     case_id: str
@@ -93,8 +94,16 @@ class ComparisonCase:
         return (self.reference, 0.0, 0.0)
 
 
+def _is_int(v):
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 def check_hypothesis(case):
-    """Scalar hypothesis check; returns (ok, list of failed conditions)."""
+    """Scalar hypothesis check; returns (ok, list of failed conditions).
+
+    The params of the case are checked too: only the keys its geometry
+    reads, an integer n_grid and an integer mode_max >= 0.
+    """
     a, b, g = case.alpha, case.beta, complex(case.gamma)
     r = case.reference
     fails = []
@@ -103,6 +112,14 @@ def check_hypothesis(case):
         return False, fails
     if case.geometry not in GEOMETRIES:
         fails.append(f"unknown geometry {case.geometry!r}")
+    else:
+        fails += [f"unknown params key {key!r} for geometry {case.geometry!r}"
+                  for key in sorted(set(case.params) - set(PARAMS[case.geometry]))]
+    if not _is_int(case.params.get("n_grid", 0)):
+        fails.append(f"params n_grid must be an integer, got {case.params['n_grid']!r}")
+    mode_max = case.params.get("mode_max", 0)
+    if not (_is_int(mode_max) and mode_max >= 0):
+        fails.append(f"params mode_max must be an integer >= 0, got {mode_max!r}")
     if case.k_count < 1:
         fails.append("k_count must be >= 1")
 
@@ -526,10 +543,7 @@ def _interval_limit_check(alpha, beta, gamma, m_A):
     k_hat = float(np.sqrt(-m_A))
     d = max(6.0, 20.0 / k_hat)
     prob = interval.IntervalProblem(alpha=alpha, beta=beta, gamma=gamma, d=d)
-    try:
-        lam = interval.negative_spectrum(prob).eigenvalues
-    except ScanTooCoarse as exc:
-        return {"status": "scan_too_coarse", "d": d, "detail": str(exc)}
+    lam = interval.negative_spectrum(prob).eigenvalues
     gap = abs(min(lam) - m_A) if lam else float("nan")
     return {
         "status": "ok" if lam and gap <= 1e-6 else "mismatch",

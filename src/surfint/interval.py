@@ -17,19 +17,27 @@ with
     h(k) = (-2 alpha - 4 k) e^{-2kd} - 2 alpha + 4 k
     j(k) = e^{2kd} (1 + beta k / 2) + e^{4kd} (1 - beta k / 2)
 
-Scanning uses the overflow-free rescaling
-F(k) = e^{-4kd} (g - h j) = A e^{-4kd} + B e^{-2kd} + C with polynomial
-coefficients (see :func:`characteristic_scaled`); F and g - h j have the
-same zeros on k > 0.
+The overflow-free rescaling F(k) = e^{-4kd} (g - h j) = A e^{-4kd}
++ B e^{-2kd} + C with polynomial coefficients (see
+:func:`characteristic_scaled`) has the same zeros on k > 0, and it
+reduces to one quadratic:
 
-Root structure for alpha, beta >= 0 (used as a built-in cross-check):
+    F(k) e^{2kd} = 8 cosh^2(kd) q(k tanh(kd)),
+    q(s) = beta s^2 - ((4 + alpha beta + |gamma|^2) / 2) s + alpha.
 
-    alpha == 0 and beta == 0      -> 0 roots (any gamma)
-    beta == 0, alpha > 0          -> 1 root
-    beta > 0,  alpha == 0         -> 1 root
-    beta > 0,  alpha > 0          -> 2 roots, except the degenerate case
-    gamma == 0 and alpha*beta == 4 -> 1 root (double zero of F, no sign
-                                      change; located on the factor h alone)
+q is the secular quadratic of the whole line (d -> infinity), and its
+discriminant, ((alpha beta + |gamma|^2 - 4)^2 + 16 |gamma|^2) / 4, is
+never negative.  Since k -> k tanh(kd) rises strictly from 0 to infinity,
+for every sign of alpha and beta:
+
+    N, the number of negative eigenvalues, is the number of positive
+    roots s of q: 0, 1 or 2;
+    each root gives lambda = -k^2 with k tanh(kd) = s, and that k lies
+    in [s, s + 1/d], since tanh(y + 1) > y / (y + 1) for y = s d >= 0.
+
+When gamma == 0 and alpha beta == 4 (within DEGENERATE_TOL) q has a
+double root: F touches the axis there without a sign change, and the
+root is reported once.
 """
 
 from __future__ import annotations
@@ -39,12 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BracketFailure,
-    NotAnEigenvalue,
-    ScanTooCoarse,
-    ValidationError,
-)
+from .errors import NotAnEigenvalue, ValidationError
 from . import core
 
 DEGENERATE_TOL = 1e-12
@@ -76,19 +79,14 @@ class IntervalProblem:
 
 
 @dataclass(frozen=True)
-class RootBracket:
-    k_lo: float
-    k_hi: float
-
-
-@dataclass(frozen=True)
 class IntervalSpectrum:
     """Negative spectrum of an interval problem.
 
     eigenvalues: ascending (deepest first); ks: the matching k > 0 values
     (descending, lambda_i = -ks_i^2); m_interval: min(0, lowest
-    eigenvalue); diagnostics: scan metadata (brackets, residuals, grid,
-    k_max, expected structural count, degeneracy flag).
+    eigenvalue); diagnostics: the root count, the secular count
+    (census_expected), the degeneracy flag, the k window (k_max) and the
+    residuals |F(k)| at the roots.
     """
 
     eigenvalues: tuple
@@ -100,7 +98,7 @@ class IntervalSpectrum:
 def characteristic_ghj(k, prob):
     """Raw factors (g, h, j) of the eigenvalue condition g = h*j.
 
-    Grows like e^{4kd}; use :func:`characteristic_scaled` for scanning.
+    Grows like e^{4kd}; :func:`characteristic_scaled` does not overflow.
     All three are real for real k.
     """
     k = np.asarray(k, dtype=float)
@@ -189,29 +187,38 @@ def determinant_oracle(k, prob):
     return float(det.real)
 
 
-def expected_root_count(prob):
-    """Structural number of negative eigenvalues, or None if out of scope.
+def secular_roots(prob):
+    """Positive roots s of the secular quadratic q, descending.
 
-    Valid for alpha >= 0 and beta >= 0; other sign regimes return None
-    (the scan then reports whatever it finds without a census check).
+    q(s) = b s^2 - c s + a with a = alpha, b = beta and
+    c = (4 + alpha beta + |gamma|^2)/2 (see the module docstring); a
+    degenerate coupling has one double root.
     """
-    a, b = prob.alpha, prob.beta
-    if a < 0.0 or b < 0.0:
-        return None
-    if a == 0.0 and b == 0.0:
-        return 0
-    if b == 0.0 or a == 0.0:
-        return 1
+    a, b, g = prob.alpha, prob.beta, abs(prob.gamma)
+    c = 0.5 * (4.0 + a * b + g * g)
     if is_degenerate(prob):
-        return 1
-    return 2
+        return (0.5 * c / b,)
+    if b == 0.0:
+        roots = (a / c,)  # c = (4 + |gamma|^2)/2 > 0
+    else:
+        # the stable form of (c +- sqrt(c^2 - 4ab)) / (2b); t != 0, since
+        # c = 0 makes the square root at least 4
+        root = 0.5 * math.hypot(a * b + g * g - 4.0, 4.0 * g)
+        t = c + math.copysign(root, c)
+        roots = (0.5 * t / b, 2.0 * a / t)
+    return tuple(sorted((s for s in roots if s > 0.0), reverse=True))
+
+
+def expected_root_count(prob):
+    """Exact number of negative eigenvalues: the positive roots of q."""
+    return len(secular_roots(prob))
 
 
 def is_degenerate(prob):
     """True when gamma == 0 and alpha*beta == 4 (within 1e-12).
 
-    There the characteristic has a double zero that touches the axis
-    without a sign change, so the root must be located on the factor h.
+    There q has a double root and the characteristic touches the axis
+    without a sign change; the root is reported once.
     """
     return (
         prob.gamma == 0
@@ -221,150 +228,38 @@ def is_degenerate(prob):
     )
 
 
-def _bisect(f, lo, hi, flo, tol):
-    """Plain bisection of a bracketing interval; returns (root, bracket)."""
-    if not (lo < hi):
-        raise BracketFailure(f"empty bracket ({lo}, {hi})")
-    bracket = RootBracket(lo, hi)
-    for _ in range(300):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0:
-            lo = hi = mid
-            break
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    else:
-        raise BracketFailure(f"bisection stalled on ({lo}, {hi})")
-    return 0.5 * (lo + hi), bracket
+def negative_spectrum(prob, k_max=None, tol=1e-12):
+    """All negative eigenvalues lambda = -k^2 with k <= k_max.
 
-
-def _degenerate_root(prob, tol):
-    """Root of h(k) = 0 for the touching (double-zero) case."""
-
-    def h(k):
-        return characteristic_ghj(k, prob)[1]
-
-    lo, flo = 0.0, -4.0 * prob.alpha
-    hi = max(1.0, prob.alpha / 2.0)
-    for _ in range(80):
-        if h(hi) > 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise BracketFailure("could not bracket the degenerate root of h")
-    return _bisect(h, lo, hi, flo, tol)
-
-
-def negative_spectrum(prob, k_max=None, grid=2048, tol=1e-12):
-    """All negative eigenvalues lambda = -k^2 of the interval operator.
-
-    Scans F = characteristic_scaled on a uniform k grid over (0, k_max],
-    bisects every sign change to |Delta k| <= tol, and cross-checks the
-    root count against :func:`expected_root_count` when alpha, beta >= 0.
-    On a shortfall the scan window is extended (k_max doubled, up to three
-    times, keeping the grid spacing) and then the grid is refined (4x, up
-    to three times); if the census still fails, ScanTooCoarse is raised.
-
-    k_max defaults to 2 (sqrt(-m_infinity) + 1), which covers every root
-    for alpha, beta >= 0 at moderate d; for other sign regimes k_max must
-    be given explicitly.
+    Each positive root s of the secular quadratic gives one eigenvalue;
+    its k solves k tanh(kd) = s and is bisected inside [s, s + 1/d] to
+    |Delta k| <= tol.  k_max is an optional window: only roots with
+    k <= k_max are reported.  It defaults to the largest s plus 1/d,
+    which holds every root.  The residuals |F(k)| of the characteristic
+    check the reduction independently.
     """
-    if grid < 16:
-        raise ValidationError(f"grid must be at least 16, got {grid}")
-    if k_max is None:
-        if prob.alpha < 0.0 or prob.beta < 0.0:
-            raise ValidationError(
-                "k_max must be given explicitly when alpha or beta is negative"
-            )
-        m_inf = core.m_infinity(prob.alpha, prob.beta, prob.gamma)
-        k_max = 2.0 * (math.sqrt(-m_inf) + 1.0)
-    if not (k_max > 0.0):
+    if k_max is not None and not (k_max > 0.0):
         raise ValidationError(f"k_max must be positive, got {k_max}")
-
-    census = expected_root_count(prob)
-    degenerate = is_degenerate(prob)
-
-    def f(k):
-        return characteristic_scaled(k, prob)
-
-    roots = []
-    brackets = []
-    attempts = 0
-    if degenerate:
-        root, bracket = _degenerate_root(prob, tol)
-        roots, brackets = [root], [bracket]
-        attempts = 1
-        scan_k_max, scan_grid = k_max, grid
-    else:
-        extensions = 0
-        refinements = 0
-        scan_k_max, scan_grid = float(k_max), int(grid)
-        while True:
-            attempts += 1
-            roots, brackets = _scan_roots(f, prob.alpha, scan_k_max, scan_grid, tol)
-            if census is None or len(roots) >= census:
-                break
-            if extensions < 3:
-                extensions += 1
-                scan_k_max *= 2.0
-                scan_grid *= 2  # keep the grid spacing while widening
-                continue
-            if refinements < 3:
-                refinements += 1
-                scan_grid *= 4
-                continue
-            raise ScanTooCoarse(
-                f"found {len(roots)} roots, structural count is {census} "
-                f"(k_max={scan_k_max}, grid={scan_grid}); coupling may be "
-                "near-degenerate"
-            )
-
-    order = np.argsort([-k for k in roots])  # deepest eigenvalue first
-    ks = tuple(roots[i] for i in order)
+    d = prob.d
+    roots = secular_roots(prob)
+    if k_max is None:
+        k_max = (roots[0] if roots else 0.0) + 1.0 / d
+    ks = []
+    for s in roots:
+        k = core.bisect(lambda k: k * math.tanh(k * d) - s, s, s + 1.0 / d, tol)
+        if k <= k_max:
+            ks.append(k)
+    ks = tuple(ks)  # descending: deepest eigenvalue first
     eigenvalues = tuple(-k * k for k in ks)
-    residuals = tuple(abs(f(k)) for k in ks)
-    m_d = eigenvalues[0] if eigenvalues else 0.0
     diagnostics = {
         "root_count": len(ks),
-        "census_expected": census,
-        "degenerate": degenerate,
-        "grid": int(scan_grid),
-        "k_max": float(scan_k_max),
-        "brackets": tuple(brackets[i] for i in order),
-        "residuals": residuals,
-        "scan_attempts": attempts,
+        "census_expected": len(roots),
+        "degenerate": is_degenerate(prob),
+        "k_max": float(k_max),
+        "residuals": tuple(abs(characteristic_scaled(k, prob)) for k in ks),
     }
+    m_d = eigenvalues[0] if eigenvalues else 0.0
     return IntervalSpectrum(eigenvalues, ks, min(0.0, m_d), diagnostics)
-
-
-def _scan_roots(f, alpha, k_max, grid, tol):
-    ks = np.linspace(0.0, k_max, grid + 1)
-    vals = f(ks[1:])
-    # F(0) = 8 alpha: use it as a sentinel so a root inside the first cell
-    # is caught when alpha > 0; for alpha == 0 the zero at k = 0 is not an
-    # eigenvalue and must not seed a bracket.
-    if alpha > 0.0:
-        kk = ks
-        vv = np.concatenate(([8.0 * alpha], vals))
-    else:
-        kk = ks[1:]
-        vv = vals
-    roots, brackets = [], []
-    for i in np.nonzero(np.sign(vv[:-1]) * np.sign(vv[1:]) < 0)[0]:
-        root, bracket = _bisect(f, float(kk[i]), float(kk[i + 1]), float(vv[i]), tol)
-        roots.append(root)
-        brackets.append(bracket)
-    for i in np.nonzero(vv == 0.0)[0]:
-        k = float(kk[i])
-        if k > 0.0 and all(abs(k - r) > tol * 10 for r in roots):
-            roots.append(k)
-            brackets.append(RootBracket(k, k))
-    return roots, brackets
 
 
 def m_interval(prob, **kwargs):

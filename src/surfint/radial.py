@@ -92,36 +92,23 @@ def sphere_swave_matching(alpha_tilde, R):
         S(k) = (alpha_tilde / 2) (1 - e^{-2kR}) - k = 0,   k > 0.
 
     S is concave with S(0) = 0 and S'(0) = alpha_tilde R - 1, so a
-    positive root exists iff alpha_tilde * R > 1 and is then unique.
-    Returns (count, eigenvalue-or-None); the root is bisected to 1e-12.
+    positive root exists iff alpha_tilde * R > 1 and is then unique.  It
+    lies in [(alpha_tilde R - 1) / (2 alpha_tilde R^2), alpha_tilde / 2]:
+    1 - e^{-x} >= x - x^2/2 makes S positive at the lower end.
+    Returns (count, eigenvalue-or-None); 1 - e^{-2kR} is taken from expm1,
+    which does not cancel near threshold, and the root is bisected until
+    its bracket ends are adjacent floats.
     """
     at = float(alpha_tilde)
     R = float(R)
     if at < 0 or R <= 0:
         raise ValidationError(f"need alpha_tilde >= 0 and R > 0, got ({at}, {R})")
-    if at * R <= 1.0:
+    xi = at * R
+    if xi <= 1.0:
         return 0, None
-
-    def S(k):
-        return 0.5 * at * (1.0 - math.exp(-2.0 * k * R)) - k
-
-    hi = 0.5 * at  # S(at/2) < 0 strictly
-    lo = hi
-    for _ in range(200):
-        lo *= 0.5
-        if S(lo) > 0.0:
-            break
-    else:
-        raise ConvergenceFailure("no positive bracket for the sphere matching root")
-    for _ in range(200):
-        if hi - lo <= 1e-12:
-            break
-        mid = 0.5 * (lo + hi)
-        if S(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    k = 0.5 * (lo + hi)
+    # -S(k); S(alpha_tilde / 2) rounds to 0 for alpha_tilde R above about 37
+    k = core.bisect(lambda k: k + 0.5 * at * math.expm1(-2.0 * k * R),
+                    (xi - 1.0) / (2.0 * xi * R), 0.5 * at, 0.0)
     return 1, -k * k
 
 
@@ -130,22 +117,9 @@ def swave_threshold(R=1.0, lo=0.9, hi=1.1, tol=1e-10):
 
     Bisection on the bound-state count as a function of the product
     xi = alpha_tilde * R; returns the transition abscissa to width tol.
+    Raises ValidationError unless (lo, hi) brackets the transition.
     """
-    if not (lo < hi):
-        raise ValidationError(f"need lo < hi, got ({lo}, {hi})")
-
-    def has_state(xi):
-        return sphere_swave_matching(xi / R, R)[0] > 0
-
-    if has_state(lo) or not has_state(hi):
-        raise ValidationError(f"transition not bracketed by ({lo}, {hi})")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if has_state(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return core.bisect(lambda xi: sphere_swave_matching(xi / R, R)[0] - 0.5, lo, hi, tol)
 
 
 def _coupling_block(rc, geom):

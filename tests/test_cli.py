@@ -134,8 +134,8 @@ PROBLEM_CASES = [
          "missing required field coupling.beta",
          "coupling.alpha must be a finite number",
          "geometry.d must be > 0, got 0",
+         "unknown key solver.grid",
          "unknown key solver.method",
-         "solver.grid must be a positive integer",
          "solver.k_max must be a finite number",
          "solver.tol must be > 0, got -1.5",
          "unknown key output.fmt",
@@ -167,7 +167,7 @@ PROBLEM_CASES = [
         ["coupling.alpha must be a finite number",
          "coupling.beta must be a finite number",
          "geometry.d must be > 0, got -2",
-         "solver.grid must be a positive integer",
+         "unknown key solver.grid",
          "solver.k_max must be > 0, got 0.0"],
         id="interval-nonfinite"),
     pytest.param(
@@ -585,6 +585,18 @@ def test_compare_suite_passes_and_exits_zero(tmp_path):
     jsonschema.validate(rep, load_schema())
 
 
+def test_interval_negative_alpha_runs_without_k_max(tmp_path):
+    doc = dict(INTERVAL_DOC, coupling={"alpha": -1.0, "beta": 1.0, "gamma": [0.5, 0.0]})
+    code, out = run_cli(tmp_path, "interval", doc)
+    assert code == 0
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["results"]["N"] == rep["results"]["census_expected"] == 1
+    assert set(rep["tolerances"]) == {"bisect_tol", "k_max"}
+    assert rep["tolerances"]["k_max"] > rep["results"]["ks"][0]
+    assert "convergence" not in rep
+    jsonschema.validate(rep, load_schema())
+
+
 def test_compare_custom_case(tmp_path):
     doc = {"task": "compare",
            "compare": {"cases": [{
@@ -607,6 +619,29 @@ def test_compare_rejects_hypothesis_violation(tmp_path):
     assert code == 2
     err = json.loads((out / "error.json").read_text())
     assert "reference <= alpha" in err["detail"]
+
+
+@pytest.mark.parametrize("geometry, params, detail", [
+    ("interval", {"dd": 2.0}, "unknown params key 'dd' for geometry 'interval'"),
+    ("circle-fem", {"R": 1.0, "n_grid": 64}, "unknown params key 'n_grid' for geometry 'circle-fem'"),
+    ("sphere-radial", {"d": 6.0}, "unknown params key 'd' for geometry 'sphere-radial'"),
+    ("sphere-radial", {"n_grid": 256.0}, "params n_grid must be an integer, got 256.0"),
+    ("sphere-radial", {"mode_max": 2.0}, "params mode_max must be an integer >= 0, got 2.0"),
+    ("sphere-radial", {"mode_max": -1}, "params mode_max must be an integer >= 0, got -1"),
+], ids=["interval-typo", "circle-fem-key", "sphere-radial-key", "n-grid-float",
+        "mode-max-float", "mode-max-negative"])
+def test_compare_rejects_bad_case_params(tmp_path, geometry, params, detail):
+    doc = {"task": "compare",
+           "compare": {"cases": [{
+               "case_id": "beta_reciprocal", "alpha": 1.0, "beta": 2.0,
+               "gamma": [0.0, 0.0], "reference": 2.0, "geometry": geometry,
+               "params": params}]}}
+    code, out = run_cli(tmp_path, "compare", doc)
+    assert code == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ValidationError"
+    assert err["detail"] == detail
+    assert not (out / "report.json").exists()
 
 
 def test_certify_unconfirmed_existence_exits_three(tmp_path):

@@ -1,4 +1,4 @@
-"""Coupling validation, Theta matrix, band bottoms, form bounds."""
+"""Coupling validation, Theta matrix, band bottoms, form bounds, bisection."""
 
 import math
 
@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import surfint as si
+from surfint import core
 from surfint.errors import (
     BetaNonzeroOnSigmaZero,
     BetaZeroOnSigmaBeta,
@@ -186,3 +187,33 @@ def test_field_helpers():
     assert si.delta_field(1.5).single == si.RegionCoupling(1.5, 0.0, 0j, si.CONSTRAINED)
     assert si.delta_prime_field(2.0).single == si.RegionCoupling(0.0, 2.0, 0j, si.FREE)
     assert si.uniform_field(1, 2, 1j).single.gamma == 1j
+
+
+# ---------------------------------------------------------------- bisection
+
+
+def test_bisect_halves_to_tol():
+    root = core.bisect(lambda x: x * x - 2.0, 0.0, 2.0, 1e-12)
+    assert abs(root - math.sqrt(2.0)) <= 0.5e-12
+
+
+def test_bisect_tol_zero_stops_at_adjacent_floats():
+    root = core.bisect(lambda x: x * x - 2.0, 1.0, 2.0, 0.0)
+    assert abs(root - math.sqrt(2.0)) <= 2.3e-16
+
+
+def test_bisect_accepts_a_zero_at_either_end():
+    assert core.bisect(lambda x: x - 1.0, 1.0, 3.0, 1e-12) == 1.0
+    assert core.bisect(lambda x: x - 3.0, 1.0, 3.0, 1e-12) == 3.0
+    assert core.bisect(lambda x: x - 2.0, 1.0, 3.0, 1e-12) == 2.0  # first midpoint
+
+
+def test_bisect_rejects_a_broken_bracket():
+    with pytest.raises(ValidationError):
+        core.bisect(lambda x: x - 5.0, 1.0, 3.0, 1e-12)
+    with pytest.raises(ValidationError):
+        core.bisect(lambda x: 1.0 - x, 0.0, 2.0, 1e-12)  # decreasing
+    with pytest.raises(ValidationError):
+        core.bisect(lambda x: x - 2.0, 3.0, 1.0, 1e-12)  # lo > hi
+    with pytest.raises(ValidationError):
+        core.bisect(lambda x: math.nan, 1.0, 3.0, 1e-12)

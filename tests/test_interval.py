@@ -2,9 +2,10 @@
 
 Frozen reference eigenvalues were generated by solving the raw
 transcendental equation g(k) = h(k) j(k) with mpmath at 40 digits,
-independently of the scanning code under test.
+independently of the solver under test.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -13,11 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import surfint as si
-from surfint.errors import (
-    NotAnEigenvalue,
-    ScanTooCoarse,
-    ValidationError,
-)
+from surfint import interval
+from surfint.errors import NotAnEigenvalue, ValidationError
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -74,6 +72,58 @@ def test_determinant_identity_random_sample():
         gg, hh, jj = si.characteristic_ghj(k, p)
         rhs = -0.5 * math.exp(-2 * k * d) * k * k * (gg - hh * jj)
         assert abs(det - rhs) <= 1e-10 * max(abs(det), abs(rhs), 1e-30)
+
+
+def secular_q(s, p):
+    return p.beta * s * s - 0.5 * (4.0 + p.alpha * p.beta + abs(p.gamma) ** 2) * s + p.alpha
+
+
+@given(
+    a=st.floats(-4, 4, **finite),
+    b=st.floats(-4, 4, **finite),
+    gre=st.floats(-2, 2, **finite),
+    gim=st.floats(-2, 2, **finite),
+    d=st.floats(0.05, 6, **finite),
+    k=st.floats(0.01, 4, **finite),
+)
+def test_characteristic_reduces_to_secular_quadratic(a, b, gre, gim, d, k):
+    # F(k) = 2 (1 + e^{-2kd})^2 q(k tanh(kd)), i.e. F e^{2kd} = 8 cosh^2(kd) q
+    p = prob(a, b, complex(gre, gim), d)
+    F = si.characteristic_scaled(k, p)
+    rhs = 2.0 * (1.0 + math.exp(-2.0 * k * d)) ** 2 * secular_q(k * math.tanh(k * d), p)
+    g2 = gre * gre + gim * gim
+    scale = (abs(a) + 2 * k) * (2 + abs(b) * k) + k * g2 + 4 * (abs(a) + abs(b) * k * k)
+    assert abs(F - rhs) <= 1e-13 * scale
+
+
+@given(
+    a=st.floats(-4, 4, **finite),
+    # |beta| >= 1e-3 keeps the deepest root (s ~ 1/beta) finite
+    b=st.floats(-4, 4, **finite).filter(lambda x: x == 0.0 or abs(x) >= 1e-3),
+    g=st.complex_numbers(max_magnitude=3, **finite),
+)
+def test_secular_roots_are_the_positive_roots_of_q(a, b, g):
+    p = prob(a, b, g, 1.0)
+    roots = interval.secular_roots(p)
+    assert list(roots) == sorted(roots, reverse=True)
+    assert all(s > 0.0 for s in roots)
+    c = 0.5 * (4.0 + a * b + abs(g) ** 2)
+    for s in roots:
+        # |q(s)| at rounding level of its terms
+        assert abs(secular_q(s, p)) <= 1e-12 * (abs(b) * s * s + c * s + abs(a))
+    # the count from the signs of the coefficients (Descartes, with a
+    # discriminant that is never negative)
+    if b == 0.0:
+        want = int(a > 0.0)
+    elif a == 0.0:
+        want = int(b > 0.0)
+    elif (a > 0.0) != (b > 0.0):
+        want = 1
+    elif a > 0.0:
+        want = 1 if interval.is_degenerate(p) else 2
+    else:
+        want = 0
+    assert len(roots) == want
 
 
 def test_determinant_is_real():
@@ -152,18 +202,34 @@ def test_expected_root_count_table():
     assert si.expected_root_count(prob(1, 1, 0, 1)) == 2
     assert si.expected_root_count(prob(1, 4, 0, 1)) == 1  # degenerate
     assert si.expected_root_count(prob(1, 4, 1j, 1)) == 2  # gamma lifts it
-    assert si.expected_root_count(prob(-1, 1, 0, 1)) is None
+    # every sign regime has an exact count
+    assert si.expected_root_count(prob(-1, 1, 0, 1)) == 1
+    assert si.expected_root_count(prob(1, -1, 2j, 1)) == 1
+    assert si.expected_root_count(prob(-1, -1, 1, 1)) == 0
+    assert si.expected_root_count(prob(-1, 0, 1j, 1)) == 0
+    assert si.expected_root_count(prob(0, -2, 0, 1)) == 0
 
 
-def test_near_degenerate_raises_scan_too_coarse():
-    # roots split linearly in alpha*beta - 4; a 1e-10 offset is far outside
-    # the 1e-12 degenerate window yet unresolvable by any sane grid
-    with pytest.raises(ScanTooCoarse):
-        si.negative_spectrum(prob(2.0, 2.0 + 1e-10, 0.0, 4.0))
+def test_near_degenerate_coupling_has_two_roots():
+    # roots split linearly in alpha*beta - 4; a 1e-10 offset is outside the
+    # 1e-12 degenerate window, so both roots are reported
+    p = prob(2.0, 2.0 + 1e-10, 0.0, 4.0)
+    sp = si.negative_spectrum(p)
+    assert not sp.diagnostics["degenerate"]
+    assert len(sp.ks) == 2 == sp.diagnostics["census_expected"]
+    assert 0.0 < sp.ks[0] - sp.ks[1] < 1e-9
+    for k in sp.ks:
+        assert abs(si.characteristic_scaled(k, p)) < 1e-12
+
+
+def _det_sign(k, p):
+    sign, _ = np.linalg.slogdet(si.matching_matrix(k, p))
+    return np.sign(sign.real)
 
 
 def test_roots_are_determinant_sign_changes():
     rng = np.random.default_rng(7)
+    n_roots = 0
     for _ in range(25):
         a = rng.uniform(0.1, 4)
         b = rng.uniform(0.1, 4)
@@ -172,10 +238,62 @@ def test_roots_are_determinant_sign_changes():
         g = rng.uniform(0, 3) * np.exp(1j * rng.uniform(0, 2 * np.pi))
         d = rng.uniform(1, 6)
         p = prob(a, b, g, d)
-        sp = si.negative_spectrum(p)
-        for br in sp.diagnostics["brackets"]:
-            if br.k_lo < br.k_hi:
-                assert si.determinant_oracle(br.k_lo, p) * si.determinant_oracle(br.k_hi, p) < 0
+        for k in si.negative_spectrum(p).ks:
+            w = min(1e-6 * max(1.0, k), 0.5 * k)
+            assert _det_sign(k - w, p) * _det_sign(k + w, p) < 0, (a, b, g, d, k)
+            n_roots += 1
+    assert n_roots == 50
+
+
+def test_count_matches_determinant_sign_changes_in_every_sign_regime():
+    # N against the sign changes of the matching determinant on a fine k
+    # grid up to the reported window, four draws for each sign of alpha
+    # and of beta; |beta| >= 0.05 keeps the deepest root (k ~ c / beta)
+    # resolved by the grid, and couplings within 0.05 of the double root
+    # are redrawn
+    rng = np.random.default_rng(11)
+    for sa, sb in itertools.product((-1.0, 0.0, 1.0), repeat=2):
+        drawn = 0
+        while drawn < 4:
+            a = sa * rng.uniform(0.1, 4)
+            b = sb * rng.uniform(0.05, 4)
+            g = rng.choice([0.0, 1.0]) * rng.uniform(0, 2) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            if abs(a * b - 4.0) < 0.05 and abs(g) < 0.05:
+                continue
+            drawn += 1
+            p = prob(a, b, g, rng.uniform(0.2, 6))
+            sp = si.negative_spectrum(p)
+            grid = np.linspace(0.0, sp.diagnostics["k_max"], 2001)[1:]
+            sign, _ = np.linalg.slogdet(np.array([si.matching_matrix(k, p) for k in grid]))
+            signs = np.sign(sign.real)
+            changes = int(np.count_nonzero(signs[:-1] * signs[1:] < 0))
+            assert len(sp.ks) == changes == sp.diagnostics["census_expected"], (a, b, g, p.d)
+
+
+def test_root_where_tanh_rounds_to_one():
+    # s d = 20 > 19: tanh(s d) == 1.0, so k tanh(kd) - s is exactly 0 at
+    # the lower end of the bracket [s, s + 1/d], where the root is
+    p = prob(2.0, 0.0, 0.0, 20.0)
+    assert math.tanh(20.0) == 1.0
+    sp = si.negative_spectrum(p)
+    assert sp.ks == (1.0,)
+    assert sp.eigenvalues == (-1.0,)
+    assert sp.diagnostics["residuals"][0] < 1e-15
+
+
+def test_k_max_is_a_window():
+    p = prob(2.0, 1.0, 0.0, 6.0)  # k = 2.0000000002, 1.0000123
+    full = si.negative_spectrum(p)
+    assert full.diagnostics["k_max"] == pytest.approx(2.0 + 1.0 / 6.0)
+    window = si.negative_spectrum(p, k_max=1.5)
+    assert window.ks == full.ks[1:]
+    assert window.diagnostics["k_max"] == 1.5
+    assert window.diagnostics["census_expected"] == 2
+    assert window.m_interval == full.eigenvalues[1]
+    # the window applies to k, not to s: here s = 1 < k_max < k = 1.54
+    narrow = prob(2.0, 0.0, 0.0, 0.5)
+    assert 1.5 < si.negative_spectrum(narrow).ks[0] < 1.6
+    assert si.negative_spectrum(narrow, k_max=1.2).ks == ()
 
 
 @given(
@@ -260,13 +378,15 @@ def test_eigenfunction_rejects_non_root():
         si.eigenfunction_coefficients(0.5, p)
 
 
-def test_negative_alpha_needs_explicit_k_max():
+def test_negative_alpha_needs_no_k_max():
     p = prob(-1.0, 0.0, 0.0, 3.0)
-    with pytest.raises(ValidationError):
-        si.negative_spectrum(p)
-    sp = si.negative_spectrum(p, k_max=5.0)
-    assert sp.eigenvalues == ()
-    assert sp.m_interval == 0.0
+    for sp in (si.negative_spectrum(p), si.negative_spectrum(p, k_max=5.0)):
+        assert sp.eigenvalues == ()
+        assert sp.m_interval == 0.0
+    # a repulsive delta with a delta' part binds one state
+    sp = si.negative_spectrum(prob(-1.0, 1.0, 0.0, 3.0))
+    assert len(sp.ks) == 1 == sp.diagnostics["census_expected"]
+    assert sp.diagnostics["residuals"][0] < 1e-12
 
 
 def test_invalid_problem_rejected():
@@ -275,4 +395,4 @@ def test_invalid_problem_rejected():
     with pytest.raises(ValidationError):
         si.IntervalProblem(1.0, 0.0, 0.0, -1.0)
     with pytest.raises(ValidationError):
-        si.negative_spectrum(prob(1, 0, 0, 1), grid=4)
+        si.negative_spectrum(prob(1, 0, 0, 1), k_max=0.0)

@@ -1,7 +1,9 @@
 """Radial solvers against independent matching/Bessel oracles."""
 
+import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import eig_banded
@@ -44,6 +46,32 @@ def test_sphere_matching_threshold_rule():
     # the product alpha_tilde * R decides, not the factors separately
     assert radial.sphere_swave_matching(0.4, 2.0) == (0, None)
     assert radial.sphere_swave_matching(0.6, 2.0)[0] == 1
+
+
+@pytest.mark.parametrize("excess", [1e-3, 1e-6, 1e-9])
+def test_sphere_matching_near_threshold_against_mpmath(excess):
+    # 1 - e^{-2kR} cancels near threshold; the root must stay exact to
+    # rounding, which the cancelling form 1 - exp(-2kR) does not
+    for R in (1.0, 2.0):
+        at = (1.0 + excess) / R
+        cnt, lam = radial.sphere_swave_matching(at, R)
+        assert cnt == 1
+        with mpmath.workdps(50):
+            at_mp, R_mp = mpmath.mpf(at), mpmath.mpf(R)
+            # started at the first-order root; the root is simple
+            k_ref = mpmath.findroot(lambda k: at_mp / 2 * -mpmath.expm1(-2 * k * R_mp) - k,
+                                    (at_mp * R_mp - 1) / (at_mp * R_mp * R_mp),
+                                    tol=mpmath.mpf(10) ** -45)
+        assert abs(math.sqrt(-lam) - float(k_ref)) <= 1e-15
+
+
+@pytest.mark.parametrize("xi", [40.0, 100.0, 1e4])
+def test_sphere_matching_root_at_upper_bracket_end(xi):
+    # S(alpha_tilde / 2) rounds to exactly 0 for alpha_tilde R above about
+    # 37; the true root is within rounding of alpha_tilde / 2
+    at = xi
+    assert 0.5 * at * -math.expm1(-at) - 0.5 * at == 0.0
+    assert radial.sphere_swave_matching(at, 1.0) == (1, -((at / 2) ** 2))
 
 
 def test_swave_threshold_localization():
