@@ -2,8 +2,9 @@
 
 Subpackages by capability:
 
-- core: coupling validation, the 2x2 surface matrix, closed-form band
-  bottoms, form lower bounds, the bisection root-finder.
+- core: validation of the uniform coupling, the 2x2 surface matrix,
+  closed-form band bottoms, form lower bounds, the bisection
+  root-finder.
 - interval: exact 1-D negative spectrum from the roots of a secular
   quadratic, with a determinant cross-check.
 - radial: sphere s-wave matching and radially reduced finite-difference
@@ -19,7 +20,6 @@ Subpackages by capability:
 from .core import (
     CONSTRAINED,
     FREE,
-    CouplingField,
     FormBound,
     RegionCoupling,
     ThetaMatrix,
@@ -37,10 +37,8 @@ from .interval import (
     characteristic_ghj,
     characteristic_scaled,
     determinant_oracle,
-    eigenfunction_coefficients,
     expected_root_count,
     m_interval,
-    m_interval_perturbed,
     matching_matrix,
     negative_spectrum,
 )
@@ -51,7 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CONSTRAINED",
     "FREE",
-    "CouplingField",
     "FormBound",
     "RegionCoupling",
     "ThetaMatrix",
@@ -67,10 +64,8 @@ __all__ = [
     "characteristic_ghj",
     "characteristic_scaled",
     "determinant_oracle",
-    "eigenfunction_coefficients",
     "expected_root_count",
     "m_interval",
-    "m_interval_perturbed",
     "matching_matrix",
     "negative_spectrum",
     "SpectrumReport",

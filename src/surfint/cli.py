@@ -437,7 +437,7 @@ def _run_radial_oracle(cfg, verbose):
         "eigenvalues": [lam] if count else [],
         "m_infinity": _safe_m_infinity(a, b, g),
     }
-    return TaskOutcome(results, {"bisect_tol": 1e-12}, {}, rows)
+    return TaskOutcome(results, {"bisect_tol": radial.SWAVE_TOL}, {}, rows)
 
 
 def _run_m_infinity(cfg, verbose):

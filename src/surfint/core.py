@@ -5,15 +5,15 @@ Conventions used throughout the package
 
 A singular interaction supported on a hypersurface is described by four
 real parameters packed as (alpha, beta, gamma) with alpha, beta real and
-gamma complex.  The surface is partitioned into named regions of two
-kinds:
+gamma complex.  The coupling is uniform on the surface and of one of
+two kinds:
 
 ``free``
-    beta != 0 there; the inner and outer boundary traces are independent
+    beta != 0; the inner and outer boundary traces are independent
     degrees of freedom.
 
 ``constrained``
-    beta == 0 there; the traces are tied by the one-dimensional constraint
+    beta == 0; the traces are tied by the one-dimensional constraint
     (1 + conj(gamma)/2) f_inner = (1 - conj(gamma)/2) f_outer.
 
 The quadratic form of the operator is the free Laplacian form minus the
@@ -32,23 +32,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BetaNonzeroOnSigmaZero,
-    BetaZeroOnSigmaBeta,
-    NegativeDiscriminant,
-    NonRealAlpha,
-    ValidationError,
-)
+from .errors import NegativeDiscriminant, NonRealAlpha, ValidationError
 
 FREE = "free"
 CONSTRAINED = "constrained"
 
-_KINDS = (FREE, CONSTRAINED)
-
 
 @dataclass(frozen=True)
 class RegionCoupling:
-    """Constant coupling data on one named surface region."""
+    """The coupling, constant on the whole surface."""
 
     alpha: float
     beta: float
@@ -56,8 +48,8 @@ class RegionCoupling:
     kind: str
 
     def constraint_coefficients(self):
-        """Coefficients (c_i, c_e) of the trace constraint on a constrained
-        region: the admissible traces are f_i = c_i * t, f_e = c_e * t.
+        """Coefficients (c_i, c_e) of the trace constraint of a constrained
+        coupling: the admissible traces are f_i = c_i * t, f_e = c_e * t.
 
         c_i = 1 - conj(gamma)/2 and c_e = 1 + conj(gamma)/2, so that
         (1 + conj(gamma)/2) f_i = (1 - conj(gamma)/2) f_e holds identically,
@@ -68,136 +60,45 @@ class RegionCoupling:
         return 1.0 - g.conjugate() / 2.0, 1.0 + g.conjugate() / 2.0
 
 
-@dataclass(frozen=True)
-class CouplingField:
-    """Piecewise-constant coupling over named surface regions.
-
-    ``regions`` is an ordered tuple of (name, RegionCoupling) pairs; order
-    is preserved so that downstream output is deterministic.
-    """
-
-    regions: tuple
-
-    def names(self):
-        return tuple(name for name, _ in self.regions)
-
-    def coupling(self, name):
-        for rname, rc in self.regions:
-            if rname == name:
-                return rc
-        raise KeyError(name)
-
-    @property
-    def single(self):
-        """The unique region coupling; raises if the field has several."""
-        if len(self.regions) != 1:
-            raise ValidationError(
-                "operation needs a single-region coupling field; got regions "
-                f"{[name for name, _ in self.regions]}"
-            )
-        return self.regions[0][1]
-
-
-def _as_real(x, what, problems):
-    """Coerce x to float, recording a problem if it has an imaginary part."""
-    xc = complex(x)
-    if xc.imag != 0.0:
-        problems.append(f"{what} must be real, got {x!r}")
-        return 0.0
-    return float(xc.real)
-
-
-def validate_coupling(alpha, beta, gamma, partition=None):
-    """Validate coupling data and return a :class:`CouplingField`.
-
-    Scalar arguments build a single-region field named "interface".  For a
-    multi-region field pass dicts keyed by region name for alpha, beta,
-    gamma (all three sharing the same keys); ``partition`` may then be a
-    dict of region kinds.  When ``partition`` is omitted the kind is
-    inferred from beta (zero -> constrained, nonzero -> free).
-
-    Raises NonRealAlpha for complex alpha, BetaZeroOnSigmaBeta /
-    BetaNonzeroOnSigmaZero for partition-beta mismatches, and a generic
-    ValidationError (listing every violation) otherwise.
-    """
-    if isinstance(alpha, dict) or isinstance(beta, dict) or isinstance(gamma, dict):
-        if not (isinstance(alpha, dict) and isinstance(beta, dict) and isinstance(gamma, dict)):
-            raise ValidationError("alpha, beta, gamma must all be dicts or all scalars")
-        names = list(alpha.keys())
-        if set(beta.keys()) != set(names) or set(gamma.keys()) != set(names):
-            raise ValidationError("alpha, beta, gamma dicts must share the same region names")
-        part = partition if partition is not None else {}
-        if partition is not None and not isinstance(partition, dict):
-            raise ValidationError("partition must be a dict when couplings are dicts")
-        regions = []
-        problems = []
-        for name in names:
-            rc = _validated_region(
-                alpha[name], beta[name], gamma[name], part.get(name), name, problems
-            )
-            regions.append((name, rc))
-        if problems:
-            _raise_classified(problems)
-        return CouplingField(tuple(regions))
-
-    problems = []
-    rc = _validated_region(alpha, beta, gamma, partition, "interface", problems)
+def _real_pair(alpha, beta):
+    """(alpha, beta) as floats.  Raises NonRealAlpha when alpha is complex,
+    else a ValidationError when beta is; both list every problem."""
+    problems = [f"{what} must be real, got {x!r}"
+                for what, x in (("alpha", alpha), ("beta", beta)) if complex(x).imag != 0.0]
     if problems:
-        _raise_classified(problems)
-    return CouplingField((("interface", rc),))
+        raise (NonRealAlpha if complex(alpha).imag != 0.0 else ValidationError)(problems)
+    return float(complex(alpha).real), float(complex(beta).real)
 
 
-def _validated_region(alpha, beta, gamma, kind, name, problems):
-    n0 = len(problems)
-    a = _as_real(alpha, f"alpha[{name}]", problems)
-    alpha_bad = len(problems) > n0
-    b = _as_real(beta, f"beta[{name}]", problems)
-    g = complex(gamma)
-    if kind is None:
-        kind = CONSTRAINED if b == 0.0 else FREE
-    if kind not in _KINDS:
-        problems.append(f"partition[{name}] must be one of {_KINDS}, got {kind!r}")
-        kind = FREE
-    if kind == FREE and b == 0.0:
-        problems.append(f"region {name} is marked free but beta == 0")
-    if kind == CONSTRAINED and b != 0.0:
-        problems.append(f"region {name} is marked constrained but beta == {b}")
-    if alpha_bad:
-        # remember that the specific alpha error class applies
-        problems.append("__non_real_alpha__")
-    return RegionCoupling(a, b, g, kind)
+def validate_coupling(alpha, beta, gamma):
+    """Validate coupling data and return its :class:`RegionCoupling`.
 
-
-def _raise_classified(problems):
-    alpha_flag = "__non_real_alpha__" in problems
-    problems = [p for p in problems if p != "__non_real_alpha__"]
-    if alpha_flag:
-        raise NonRealAlpha(problems)
-    if any("marked free but beta" in p for p in problems):
-        raise BetaZeroOnSigmaBeta(problems)
-    if any("marked constrained but beta" in p for p in problems):
-        raise BetaNonzeroOnSigmaZero(problems)
-    raise ValidationError(problems)
+    The kind is taken from beta: constrained when beta == 0, free
+    otherwise.  Raises NonRealAlpha when alpha is complex and a
+    ValidationError when only beta is; both list every problem.
+    """
+    a, b = _real_pair(alpha, beta)
+    return RegionCoupling(a, b, complex(gamma), CONSTRAINED if b == 0.0 else FREE)
 
 
 def delta_field(alpha_tilde):
-    """Coupling field of a pure delta interaction of strength alpha_tilde."""
+    """Coupling of a pure delta interaction of strength alpha_tilde."""
     return validate_coupling(float(alpha_tilde), 0.0, 0.0)
 
 
 def delta_prime_field(beta_tilde):
-    """Coupling field of a pure delta' interaction of strength beta_tilde."""
+    """Coupling of a pure delta' interaction of strength beta_tilde."""
     return validate_coupling(0.0, float(beta_tilde), 0.0)
 
 
 def uniform_field(alpha, beta, gamma):
-    """Single-region field with the full four-parameter coupling."""
+    """The full four-parameter coupling."""
     return validate_coupling(alpha, beta, gamma)
 
 
 @dataclass(frozen=True)
 class ThetaMatrix:
-    """Hermitian 2x2 surface-coupling matrix on one region."""
+    """Hermitian 2x2 surface-coupling matrix."""
 
     entries: np.ndarray
     kind: str
@@ -210,26 +111,22 @@ class ThetaMatrix:
         return bool(np.max(np.abs(self.entries.imag)) == 0.0)
 
 
-def theta_matrix(field, region=None):
-    """Surface-coupling matrix Theta on the given region of ``field``.
+def theta_matrix(rc):
+    """Surface-coupling matrix Theta of the coupling ``rc``.
 
-    On a free region (beta != 0):
+    For a free coupling (beta != 0):
 
         Theta = [[ |1+g/2|^2/b + a/4,  (cg/2-1)(1+g/2)/b + a/4 ],
                  [ (g/2-1)(1+cg/2)/b + a/4,  |1-g/2|^2/b + a/4 ]]
 
-    with a = alpha, b = beta, g = gamma, cg = conj(gamma).  On a
-    constrained region (beta == 0) the matrix collapses to (alpha/4) times
+    with a = alpha, b = beta, g = gamma, cg = conj(gamma).  For a
+    constrained coupling (beta == 0) the matrix collapses to (alpha/4) times
     the all-ones matrix; gamma then acts only through the trace
     constraint, not through Theta.
 
     The result is Hermitian for any admissible coupling and real symmetric
     exactly when gamma is real.  Complex dtype is used throughout.
     """
-    if region is None:
-        rc = field.single
-    else:
-        rc = field.coupling(region)
     a = rc.alpha
     g = complex(rc.gamma)
     cg = g.conjugate()
@@ -261,13 +158,7 @@ def m_infinity(alpha, beta, gamma):
     + 16|g|^2 >= 0); NegativeDiscriminant guards against rounding anomalies
     rather than a reachable mathematical case.
     """
-    problems = []
-    a = _as_real(alpha, "alpha", problems)
-    b = _as_real(beta, "beta", problems)
-    if problems and "alpha" in problems[0]:
-        raise NonRealAlpha(problems)
-    if problems:
-        raise ValidationError(problems)
+    a, b = _real_pair(alpha, beta)
     if a < 0 or b < 0:
         raise ValidationError(f"m_infinity requires alpha, beta >= 0, got ({a}, {b})")
     g2 = abs(complex(gamma)) ** 2
@@ -290,25 +181,18 @@ class FormBound:
     """
 
     eta: float
-    per_region: tuple
 
 
-def form_lower_bound(field):
-    """Best constant eta < 0 with -<Theta v, v> >= eta |v|^2 on every region.
+def form_lower_bound(rc):
+    """Best constant eta < 0 with -<Theta v, v> >= eta |v|^2.
 
-    eta is minus the largest positive Theta eigenvalue over all regions.
-    When no Theta eigenvalue is positive the surface term is already
-    nonnegative; eta is then clamped to a tiny negative value so the
-    strict-sign convention eta < 0 holds.
+    eta is minus the largest Theta eigenvalue when that is positive.
+    Otherwise the surface term is already nonnegative, and eta is
+    clamped to a tiny negative value so the strict-sign convention
+    eta < 0 holds.
     """
-    per_region = []
-    worst = 0.0
-    for name, _ in field.regions:
-        lam_max = float(theta_matrix(field, name).eigenvalues()[-1])
-        per_region.append((name, lam_max))
-        worst = max(worst, lam_max)
-    eta = -worst if worst > 0.0 else -1e-12
-    return FormBound(eta, tuple(per_region))
+    lam_max = float(theta_matrix(rc).eigenvalues()[-1])
+    return FormBound(-lam_max if lam_max > 0.0 else -1e-12)
 
 
 def bisect(f, lo, hi, tol):

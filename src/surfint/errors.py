@@ -26,19 +26,11 @@ class ValidationError(SurfintError):
 
 
 class ParseError(SurfintError):
-    """Raw config text (or a mesh file) could not be decoded at all."""
+    """Raw config text could not be decoded at all."""
 
 
 class NonRealAlpha(ValidationError):
     """alpha must be a real number; a nonzero imaginary part was given."""
-
-
-class BetaZeroOnSigmaBeta(ValidationError):
-    """A region marked as free-trace type has beta == 0."""
-
-
-class BetaNonzeroOnSigmaZero(ValidationError):
-    """A region marked as constrained-trace type has beta != 0."""
 
 
 class NegativeDiscriminant(SurfintError):
@@ -50,20 +42,12 @@ class NegativeDiscriminant(SurfintError):
     """
 
 
-class NotAnEigenvalue(SurfintError):
-    """Matching matrix at the given k is not numerically singular."""
-
-
 class SingularInterfaceStencil(SurfintError):
     """The 2x2 elimination system for interface derivatives is singular."""
 
 
 class MeshQualityFailure(SurfintError):
     """Generated mesh violates the minimum-angle bound."""
-
-
-class UnknownRegionTag(SurfintError):
-    """Mesh references a coupling region the field does not define."""
 
 
 class ConvergenceFailure(SurfintError):

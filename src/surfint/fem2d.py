@@ -9,7 +9,7 @@ function space is H^1 of the broken domain.  The quadratic form is
     sum_T int_T |grad f|^2  -  sum_edges int_e <Theta (f_i, f_e), (f_i, f_e)> ds
 
 assembled with exact P1 edge mass (L/6) [[2, 1], [1, 2]] per interface
-edge.  On constrained regions (beta == 0) the two traces are eliminated
+edge.  For a constrained coupling (beta == 0) the two traces are eliminated
 through (1 + conj(g)/2) f_i = (1 - conj(g)/2) f_e, keeping whichever
 trace has the larger constraint coefficient; the elimination is encoded
 in a sparse map T with K_red = T^H K T, M_red = T^H M T, preserving
@@ -31,14 +31,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import core
-from .errors import (
-    ConvergenceFailure,
-    MeshQualityFailure,
-    ParseError,
-    UnknownRegionTag,
-    ValidationError,
-)
+from . import core, radial
+from .errors import ConvergenceFailure, MeshQualityFailure, ValidationError
 from .report import SpectrumReport
 
 ARPACK_SHIFT = -4.0  # first shift-invert target, deepened 4x until no eigenvalue is below it
@@ -51,18 +45,16 @@ class InterfaceMesh:
 
     vertices: (n, 2) coordinates (interface vertices appear twice, inner
     copy and outer copy at identical coordinates).
-    triangles: (m, 3) vertex indices; tri_region[t] is "inner"/"outer".
+    triangles: (m, 3) vertex indices; triangles inside the interface use
+    the inner copies, those outside the outer ones.
     interface_edges: (ne, 4) columns (i_inner, i_outer, j_inner, j_outer)
-    for the edge from geometric node i to node j; edge_region[e] names
-    the coupling region of the edge.
+    for the edge from geometric node i to node j.
     outer_edges: (nb, 2) vertex indices on the outer boundary.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
-    tri_region: tuple
     interface_edges: np.ndarray
-    edge_region: tuple
     outer_edges: np.ndarray
     meta: dict
 
@@ -100,7 +92,7 @@ def _ring_counts(radii, h, anchor, inward):
     return counts
 
 
-def build_mesh(R, R_out, h_target, region="interface"):
+def build_mesh(R, R_out, h_target):
     """Structured polar mesh of the disk r < R_out with interface at r = R.
 
     Deterministic in its arguments.  Raises MeshQualityFailure if any
@@ -143,9 +135,8 @@ def build_mesh(R, R_out, h_target, region="interface"):
         ring_ids_out.append(ids)
 
     tris = []
-    regions = []
 
-    def strip(inner_ids, outer_ids, tag):
+    def strip(inner_ids, outer_ids):
         ci, co = len(inner_ids), len(outer_ids)
         if co == ci:
             for i in range(ci):
@@ -153,7 +144,6 @@ def build_mesh(R, R_out, h_target, region="interface"):
                 b0, b1 = outer_ids[i], outer_ids[(i + 1) % co]
                 tris.append((a0, b0, b1))
                 tris.append((a0, b1, a1))
-                regions.extend([tag, tag])
         elif co == 2 * ci:
             for i in range(ci):
                 a0, a1 = inner_ids[i], inner_ids[(i + 1) % ci]
@@ -165,7 +155,6 @@ def build_mesh(R, R_out, h_target, region="interface"):
                 tris.append((a0, b0, b1))
                 tris.append((a0, b1, a1))
                 tris.append((a1, b1, b2))
-                regions.extend([tag, tag, tag])
         else:
             raise ValidationError(
                 f"ring counts {ci} -> {co} differ by more than a factor 2"
@@ -174,11 +163,10 @@ def build_mesh(R, R_out, h_target, region="interface"):
     c1 = counts_in[0]
     for i in range(c1):
         tris.append((0, ring_ids_in[0][i], ring_ids_in[0][(i + 1) % c1]))
-        regions.append("inner")
     for j in range(len(ring_ids_in) - 1):
-        strip(ring_ids_in[j], ring_ids_in[j + 1], "inner")
+        strip(ring_ids_in[j], ring_ids_in[j + 1])
     for j in range(len(ring_ids_out) - 1):
-        strip(ring_ids_out[j], ring_ids_out[j + 1], "outer")
+        strip(ring_ids_out[j], ring_ids_out[j + 1])
 
     iface_edges = [
         (
@@ -195,9 +183,7 @@ def build_mesh(R, R_out, h_target, region="interface"):
     mesh = InterfaceMesh(
         vertices=np.asarray(verts, dtype=float),
         triangles=np.asarray(tris, dtype=np.int32),
-        tri_region=tuple(regions),
         interface_edges=np.asarray(iface_edges, dtype=np.int32),
-        edge_region=tuple(region for _ in iface_edges),
         outer_edges=np.asarray(outer_edges, dtype=np.int32),
         meta={"R": float(R), "R_out": float(R_out), "h_target": float(h_target)},
     )
@@ -244,20 +230,16 @@ def refine_mesh(mesh):
         return midpoint[key]
 
     tris = []
-    regions = []
-    for (a, b, c), tag in zip(mesh.triangles, mesh.tri_region):
+    for a, b, c in mesh.triangles:
         ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
         tris.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
-        regions.extend([tag] * 4)
 
     iface = []
-    etags = []
-    for (ii, io, ji, jo), tag in zip(mesh.interface_edges, mesh.edge_region):
+    for ii, io, ji, jo in mesh.interface_edges:
         mi = mid(ii, ji)
         mo = mid(io, jo)
         iface.append((ii, io, mi, mo))
         iface.append((mi, mo, ji, jo))
-        etags.extend([tag, tag])
     outer = []
     for i, j in mesh.outer_edges:
         m = mid(i, j)
@@ -267,9 +249,7 @@ def refine_mesh(mesh):
     return InterfaceMesh(
         vertices=np.asarray(verts, dtype=float),
         triangles=np.asarray(tris, dtype=np.int32),
-        tri_region=tuple(regions),
         interface_edges=np.asarray(iface, dtype=np.int32),
-        edge_region=tuple(etags),
         outer_edges=np.asarray(outer, dtype=np.int32),
         meta={**mesh.meta, "refined": mesh.meta.get("refined", 0) + 1},
     )
@@ -280,8 +260,8 @@ class AssembledPencil:
     """Stiffness/mass pair with the trace-constraint map.
 
     K, M: full (doubled-trace) matrices, Hermitian CSR.
-    T: sparse map from reduced to full coefficients; identity when no
-    region is constrained.  The eigenvalue problem to solve is
+    T: sparse map from reduced to full coefficients; identity for a free
+    coupling.  The eigenvalue problem to solve is
     (T^H K T) x = lambda (T^H M T) x.
     """
 
@@ -331,12 +311,9 @@ def assemble(field, mesh):
     M = sp.coo_matrix((m_loc.ravel(), (rows, cols)), shape=(n, n)).tocsr().astype(complex)
 
     # interface term: K -= Theta[a, b] * edge mass on the trace pairs
-    names = set(field.names())
+    theta = core.theta_matrix(field).entries
     kr, kc, kv = [], [], []
-    for (ii, io, ji, jo), tag in zip(mesh.interface_edges, mesh.edge_region):
-        if tag not in names:
-            raise UnknownRegionTag(f"mesh edge region {tag!r} not in coupling field")
-        theta = core.theta_matrix(field, tag).entries
+    for ii, io, ji, jo in mesh.interface_edges:
         L = float(np.linalg.norm(pts[ji] - pts[ii]))
         s_edge = (L / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
         dofs = ((ii, io), (ji, jo))  # endpoint p -> (inner DOF, outer DOF)
@@ -353,43 +330,27 @@ def assemble(field, mesh):
         K = (K + sp.coo_matrix((kv, (kr, kc)), shape=(n, n)).tocsr()).tocsr()
 
     T = _constraint_map(field, mesh)
-    return AssembledPencil(K, M, T, {"n_vertices": n, "regions": sorted(names)})
+    return AssembledPencil(K, M, T, {"n_vertices": n})
 
 
-def _constraint_map(field, mesh):
+def _constraint_map(rc, mesh):
     """Sparse reduction map folding constrained trace pairs.
 
-    On a constrained region the admissible pairs are (f_i, f_e) =
+    For a constrained coupling the admissible pairs are (f_i, f_e) =
     (c_i, c_e) t; the kept DOF is the trace with the larger coefficient,
     the other one becomes ratio * kept.
     """
     n = mesh.n_vertices
-    pair_constraint = {}
-    problems = []
-    for (ii, io, ji, jo), tag in zip(mesh.interface_edges, mesh.edge_region):
-        rc = field.coupling(tag)
-        if rc.kind != core.CONSTRAINED:
-            continue
-        ci, ce = rc.constraint_coefficients()
-        for pair in ((ii, io), (ji, jo)):
-            old = pair_constraint.get(pair)
-            if old is not None and old != (ci, ce):
-                problems.append(
-                    f"vertex pair {pair} receives conflicting constraints from "
-                    "adjacent regions"
-                )
-            pair_constraint[pair] = (ci, ce)
-    if problems:
-        raise ValidationError(sorted(set(problems)))
-    if not pair_constraint:
+    if rc.kind != core.CONSTRAINED:
         return sp.identity(n, dtype=complex, format="csr")
-
+    ci, ce = rc.constraint_coefficients()
     eliminated = {}
-    for (vi, ve), (ci, ce) in pair_constraint.items():
-        if abs(ci) >= abs(ce):
-            eliminated[ve] = (vi, ce / ci)  # f_e = (c_e / c_i) f_i
-        else:
-            eliminated[vi] = (ve, ci / ce)  # f_i = (c_i / c_e) f_e
+    for ii, io, ji, jo in mesh.interface_edges:
+        for vi, ve in ((ii, io), (ji, jo)):
+            if abs(ci) >= abs(ce):
+                eliminated[ve] = (vi, ce / ci)  # f_e = (c_e / c_i) f_i
+            else:
+                eliminated[vi] = (ve, ci / ce)  # f_i = (c_i / c_e) f_e
     kept = [v for v in range(n) if v not in eliminated]
     col_of = {v: j for j, v in enumerate(kept)}
     rows, cols, vals = [], [], []
@@ -540,8 +501,6 @@ def negative_spectrum_fem(field, R, R_out, h, count=6):
     mode is not a bound state.  The extrapolated values of the lowest
     min(N, count) are reported; truncated_count says N > count.
     """
-    from .radial import NEG_TOL, richardson  # local import avoids a cycle at module load
-
     ladders = []
     sizes = []
     for lvl in range(3):
@@ -550,7 +509,7 @@ def negative_spectrum_fem(field, R, R_out, h, count=6):
         pairs = lowest_eigenpairs(pencil, count)
         ladders.append([lam for lam, _ in pairs])
         sizes.append(pencil.n_reduced)
-    n_neg = shifted_inertia(*_solver_matrices(pencil), -NEG_TOL)[0]  # finest pencil
+    n_neg = shifted_inertia(*_solver_matrices(pencil), -radial.NEG_TOL)[0]  # finest pencil
     mesh_w = build_mesh(R, 1.5 * R_out, h / 2)
     pairs_w = lowest_eigenpairs(assemble(field, mesh_w), count)
     wide = [lam for lam, _ in pairs_w]
@@ -558,7 +517,7 @@ def negative_spectrum_fem(field, R, R_out, h, count=6):
     eigenvalues = []
     error_bars = []
     for k in range(min(n_neg, count)):
-        ext, err = richardson([ladders[0][k], ladders[1][k], ladders[2][k]])
+        ext, err = radial.richardson([ladders[0][k], ladders[1][k], ladders[2][k]])
         trunc = abs(wide[k] - ladders[1][k]) if k < len(wide) else 0.0
         eigenvalues.append(ext)
         error_bars.append(err + trunc)
@@ -576,65 +535,4 @@ def negative_spectrum_fem(field, R, R_out, h, count=6):
             "error_bars": error_bars,
             "truncated_count": bool(n_neg > count),
         },
-    )
-
-
-def save_mesh(mesh, path):
-    """Text format: `v x y`, `t i j k region`, `e i_in i_out j_in j_out region`."""
-    with open(path, "w") as fh:
-        for vx, vy in mesh.vertices:
-            fh.write(f"v {float(vx)!r} {float(vy)!r}\n")
-        for (i, j, k), tag in zip(mesh.triangles, mesh.tri_region):
-            fh.write(f"t {i} {j} {k} {tag}\n")
-        for (ii, io, ji, jo), tag in zip(mesh.interface_edges, mesh.edge_region):
-            fh.write(f"e {ii} {io} {ji} {jo} {tag}\n")
-
-
-def load_mesh(path):
-    """Parse the text format written by save_mesh.
-
-    Outer boundary edges are reconstructed as triangle edges that appear
-    exactly once and are not interface edges.
-    """
-    verts, tris, regions, iface, etags = [], [], [], [], []
-    with open(path) as fh:
-        for ln, line in enumerate(fh, 1):
-            parts = line.split()
-            if not parts:
-                continue
-            try:
-                if parts[0] == "v" and len(parts) == 3:
-                    verts.append((float(parts[1]), float(parts[2])))
-                elif parts[0] == "t" and len(parts) == 5:
-                    tris.append(tuple(int(p) for p in parts[1:4]))
-                    regions.append(parts[4])
-                elif parts[0] == "e" and len(parts) == 6:
-                    iface.append(tuple(int(p) for p in parts[1:5]))
-                    etags.append(parts[5])
-                else:
-                    raise ValueError("unrecognized record")
-            except ValueError as exc:
-                raise ParseError(f"{path}:{ln}: {exc}: {line.rstrip()}") from exc
-    if not verts or not tris:
-        raise ParseError(f"{path}: no vertices or no triangles")
-
-    edge_count = {}
-    for a, b, c in tris:
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (min(u, v), max(u, v))
-            edge_count[key] = edge_count.get(key, 0) + 1
-    iface_pairs = set()
-    for ii, io, ji, jo in iface:
-        iface_pairs.add((min(ii, ji), max(ii, ji)))
-        iface_pairs.add((min(io, jo), max(io, jo)))
-    outer = [e for e, cnt in edge_count.items() if cnt == 1 and e not in iface_pairs]
-
-    return InterfaceMesh(
-        vertices=np.asarray(verts, dtype=float),
-        triangles=np.asarray(tris, dtype=np.int32),
-        tri_region=tuple(regions),
-        interface_edges=np.asarray(iface, dtype=np.int32).reshape(-1, 4),
-        edge_region=tuple(etags),
-        outer_edges=np.asarray(sorted(outer), dtype=np.int32).reshape(-1, 2),
-        meta={"loaded_from": str(path)},
     )

@@ -53,7 +53,7 @@ CASE_IDS = (
 PARAMS = {
     "interval": ("d",),
     "circle-fem": ("R", "R_out", "h"),
-    "sphere-radial": ("R", "R_out", "n_grid", "mode_max", "outer_bc"),
+    "sphere-radial": ("R", "R_out", "n_grid", "mode_max"),
 }
 GEOMETRIES = tuple(PARAMS)
 
@@ -217,17 +217,17 @@ def _interval_eigenvalues(coupling, d, k):
 def _fem_eigenvalues(coupling, mesh, k):
     field = core.uniform_field(*coupling)
     pairs = fem2d.lowest_eigenpairs(fem2d.assemble(field, mesh), k)
-    return [lam for lam, _ in pairs], 0
+    return [lam for lam, _ in pairs]
 
 
 def _radial_merged_eigenvalues(coupling, params, k):
+    """Lowest k eigenvalues of modes 0..mode_max, with multiplicity, in a
+    Neumann box (the RadialGeometry default)."""
     field = core.uniform_field(*coupling)
     geom = radial.RadialGeometry(
         dimension=3,
         R=params.get("R", 1.0),
         R_out=params.get("R_out", 12.0),
-        outer_bc=params.get("outer_bc", "neumann"),
-        mode=0,
     )
     n_grid = params.get("n_grid", 256)
     mode_max = params.get("mode_max", 2)
@@ -236,7 +236,7 @@ def _radial_merged_eigenvalues(coupling, params, k):
         lam = radial.radial_mode_eigenvalues(replace(geom, mode=mode), field, n_grid, count=k)
         merged.extend(float(v) for v in lam for _ in range(2 * mode + 1))
     merged.sort()
-    return merged[:k], 0
+    return merged[:k]
 
 
 def compare_spectra(case):
@@ -261,8 +261,8 @@ def compare_spectra(case):
         h = case.params.get("h", 0.3)
         mesh = fem2d.build_mesh(R, R_out, h)
         lower_c, upper_c = _sides(case)
-        lower, _ = _fem_eigenvalues(lower_c, mesh, case.k_count)
-        upper, _ = _fem_eigenvalues(upper_c, mesh, case.k_count)
+        lower = _fem_eigenvalues(lower_c, mesh, case.k_count)
+        upper = _fem_eigenvalues(upper_c, mesh, case.k_count)
         diag = {
             "geometry": "circle-fem",
             "R": R,
@@ -273,8 +273,8 @@ def compare_spectra(case):
         }
     elif case.geometry == "sphere-radial":
         lower_c, upper_c = _sides(case)
-        lower, _ = _radial_merged_eigenvalues(lower_c, case.params, case.k_count)
-        upper, _ = _radial_merged_eigenvalues(upper_c, case.params, case.k_count)
+        lower = _radial_merged_eigenvalues(lower_c, case.params, case.k_count)
+        upper = _radial_merged_eigenvalues(upper_c, case.params, case.k_count)
         diag = {"geometry": "sphere-radial", "shared_grid": True, **case.params}
     else:
         raise GeometryUnavailable(f"no solver for geometry {case.geometry!r}")
@@ -339,12 +339,12 @@ def run_suite(cases):
     return [compare_spectra(case) for case in cases]
 
 
-def bound_state_certificate(field, geometry):
+def bound_state_certificate(rc, geometry):
     """Closed-form bound-state predictions cross-checked numerically.
 
     geometry is a dict {"kind": "circle" | "sphere", "R": radius} plus
     optional "R_out" (default 8 R) and "n_grid" (default 512).  Three
-    criteria are evaluated on the single-region coupling:
+    criteria are evaluated on the coupling rc:
 
       interaction_integral     free traces everywhere: if the surface
                                integral of |1+gamma/2|^2/beta + alpha/4
@@ -375,7 +375,6 @@ def bound_state_certificate(field, geometry):
     R = float(geometry["R"])
     R_out = float(geometry.get("R_out", 8.0 * R))
     n_grid = int(geometry.get("n_grid", 512))
-    rc = field.single
     dim = 2 if kind == "circle" else 3
     measure = 2.0 * np.pi * R if dim == 2 else 4.0 * np.pi * R * R
     g = complex(rc.gamma)
@@ -432,7 +431,7 @@ def bound_state_certificate(field, geometry):
         }
 
     geom = radial.RadialGeometry(dimension=dim, R=R, R_out=R_out, outer_bc="dirichlet", mode=0)
-    n_dirichlet = int(radial.assemble_mode_sum(geom, field, None, n_grid).N)
+    n_dirichlet = int(radial.assemble_mode_sum(geom, rc, None, n_grid).N)
 
     ok = True
     for name, entry in criteria.items():

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotAnEigenvalue, ValidationError
+from .errors import ValidationError
 from . import core
 
 DEGENERATE_TOL = 1e-12
@@ -192,13 +192,15 @@ def secular_roots(prob):
 
     q(s) = b s^2 - c s + a with a = alpha, b = beta and
     c = (4 + alpha beta + |gamma|^2)/2 (see the module docstring); a
-    degenerate coupling has one double root.
+    degenerate coupling has one double root.  A root of q is 0 only when
+    alpha is; ValidationError when any other root is not a normal float,
+    since a root that under- or overflowed would be miscounted.
     """
     a, b, g = prob.alpha, prob.beta, abs(prob.gamma)
     c = 0.5 * (4.0 + a * b + g * g)
     if is_degenerate(prob):
-        return (0.5 * c / b,)
-    if b == 0.0:
+        roots = (0.5 * c / b,)
+    elif b == 0.0:
         roots = (a / c,)  # c = (4 + |gamma|^2)/2 > 0
     else:
         # the stable form of (c +- sqrt(c^2 - 4ab)) / (2b); t != 0, since
@@ -206,6 +208,10 @@ def secular_roots(prob):
         root = 0.5 * math.hypot(a * b + g * g - 4.0, 4.0 * g)
         t = c + math.copysign(root, c)
         roots = (0.5 * t / b, 2.0 * a / t)
+    if any(not np.finfo(float).tiny <= abs(s) < math.inf for s in roots if s != 0.0 or a != 0.0):
+        raise ValidationError(
+            f"a root of the secular quadratic leaves the float range: {roots} "
+            f"at alpha={a}, beta={b}, |gamma|={g}")
     return tuple(sorted((s for s in roots if s > 0.0), reverse=True))
 
 
@@ -248,6 +254,8 @@ def negative_spectrum(prob, k_max=None, tol=1e-12):
     for s in roots:
         k = core.bisect(lambda k: k * math.tanh(k * d) - s, s, s + 1.0 / d, tol)
         if k <= k_max:
+            if k * k == math.inf:
+                raise ValidationError(f"eigenvalue -k^2 overflows at k={k}")
             ks.append(k)
     ks = tuple(ks)  # descending: deepest eigenvalue first
     eigenvalues = tuple(-k * k for k in ks)
@@ -265,61 +273,3 @@ def negative_spectrum(prob, k_max=None, tol=1e-12):
 def m_interval(prob, **kwargs):
     """min(0, lowest negative eigenvalue) on the interval (-d, d)."""
     return negative_spectrum(prob, **kwargs).m_interval
-
-
-def m_interval_perturbed(prob, n_tau, **kwargs):
-    """m_interval for the rescaled coupling (alpha/n, gamma; n*beta).
-
-    The family weakens the diagonal interaction while keeping the
-    off-diagonal part fixed; as n_tau grows the lowest eigenvalue rises
-    to 0 when beta > 0.
-    """
-    if n_tau <= 0:
-        raise ValidationError(f"n_tau must be positive, got {n_tau}")
-    scaled = IntervalProblem(prob.alpha / n_tau, prob.beta * n_tau, prob.gamma, prob.d)
-    return m_interval(scaled, **kwargs)
-
-
-def eigenfunction_coefficients(k_root, prob, tol=1e-6):
-    """Coefficients (A, B, C, D) of the eigenfunction at lambda = -k_root^2.
-
-    The vector spans the null space of the (row-normalized) matching
-    matrix, with the Neumann end relations A = B e^{-2kd}, D = C e^{-2kd}
-    enforced exactly to avoid amplifying rounding in the exponentially
-    small components.  The result is normalized to unit L^2 norm with the
-    phase fixed so the largest component is real positive.
-
-    Raises NotAnEigenvalue when the smallest singular value exceeds
-    tol times the largest (k_root is not a spectral point), or when the
-    matching conditions are violated beyond 1e-8 in relative residual.
-    """
-    k = float(k_root)
-    if not (k > 0.0):
-        raise ValidationError(f"k_root must be positive, got {k_root}")
-    mat = matching_matrix(k, prob)
-    norms = np.linalg.norm(mat, axis=1)
-    scaled = mat / norms[:, None]
-    _, svals, vh = np.linalg.svd(scaled)
-    if svals[-1] > tol * svals[0]:
-        raise NotAnEigenvalue(
-            f"matching matrix at k={k} has relative smallest singular value "
-            f"{svals[-1] / svals[0]:.3e} > {tol:.1e}"
-        )
-    v = vh[-1].conjugate()
-    e2 = math.exp(-2.0 * k * prob.d)
-    A, B, C, D = v
-    A, D = B * e2, C * e2  # exact Neumann end relations
-    v = np.array([A, B, C, D])
-    resid = np.max(np.abs(scaled @ v)) / np.linalg.norm(v)
-    if resid > 1e-8:
-        raise NotAnEigenvalue(
-            f"matching residual {resid:.3e} > 1e-08 at k={k}"
-        )
-    # ||psi||^2 = [(1 - e^{-4kd})/(2k) + 2 d e^{-2kd}] (|B|^2 + |C|^2)
-    w = (1.0 - e2 * e2) / (2.0 * k) + 2.0 * prob.d * e2
-    nrm = math.sqrt(w * (abs(B) ** 2 + abs(C) ** 2))
-    v = v / nrm
-    i = int(np.argmax(np.abs(v)))
-    phase = v[i] / abs(v[i])
-    v = v / phase
-    return tuple(complex(x) for x in v)

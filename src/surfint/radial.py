@@ -19,7 +19,7 @@ for a comparison.  The Sturm count certifies how many there are.  The
 interface at r = R carries two trace unknowns (inner a, outer b); the surface term subtracts w(R) <Theta_eff v, v> from
 the form, where Theta_eff is the coupling matrix (plus diag(1/R, -1/R) in
 the u variable, which absorbs the substitution's boundary terms).  On a
-constrained region the traces are folded onto the single unknown t via
+constrained coupling the traces are folded onto the single unknown t via
 (a, b) = (c_i, c_e) t before solving; the resulting jump row reproduces
 
     (1 - gamma/2) psi'(R-) - (1 + gamma/2) psi'(R+) = (alpha/2)(a + b)
@@ -48,6 +48,7 @@ NEG_TOL = 1e-10
 # bisection to full accuracy; stebz's default tolerance eps * ||T||_1
 # drifts by 1e-8 to 1e-7 on fine grids
 STURM_TOL = 2.0 * np.finfo(float).tiny
+SWAVE_TOL = 0.0  # the s-wave root is bisected until its bracket ends are adjacent floats
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,7 @@ def sphere_swave_matching(alpha_tilde, R):
         return 0, None
     # -S(k); S(alpha_tilde / 2) rounds to 0 for alpha_tilde R above about 37
     k = core.bisect(lambda k: k + 0.5 * at * math.expm1(-2.0 * k * R),
-                    (xi - 1.0) / (2.0 * xi * R), 0.5 * at, 0.0)
+                    (xi - 1.0) / (2.0 * xi * R), 0.5 * at, SWAVE_TOL)
     return 1, -k * k
 
 
@@ -124,8 +125,7 @@ def swave_threshold(R=1.0, lo=0.9, hi=1.1, tol=1e-10):
 
 def _coupling_block(rc, geom):
     """w(R) * Theta_eff for the interface block of the form."""
-    field = core.CouplingField((("interface", rc),))
-    theta = core.theta_matrix(field).entries.copy()
+    theta = core.theta_matrix(rc).entries.copy()
     if geom.dimension == 3:
         # u = r psi picks up boundary terms +(|b_u|^2 - |a_u|^2)/R
         theta[0, 0] += 1.0 / geom.R
@@ -186,11 +186,10 @@ def radial_mode_eigenvalues(geom, field, n_grid, count):
     return eigvalsh_tridiagonal(d, e, select="i", select_range=(0, last), tol=STURM_TOL)
 
 
-def _mode_tridiagonal(geom, field, n_grid):
+def _mode_tridiagonal(geom, rc, n_grid):
     """Real symmetric tridiagonal (diag, offdiag) with the mode's spectrum."""
     if n_grid < 64:
         raise ValidationError(f"n_grid must be at least 64, got {n_grid}")
-    rc = field.single
     if rc.kind == core.FREE and rc.beta == 0.0:
         raise SingularInterfaceStencil(
             "free-trace interface with beta == 0: the derivative elimination "

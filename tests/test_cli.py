@@ -452,6 +452,14 @@ def test_readme_task_table_matches_tasks():
             _documented_keys(spec, expected)
         assert documented == expected, task
 
+
+def test_readme_quick_start_runs():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+
+
 def test_interval_run_writes_single_row_spectrum(tmp_path):
     code, out = run_cli(tmp_path, "interval", INTERVAL_DOC)
     assert code == 0
@@ -521,6 +529,22 @@ def test_integer_beyond_float_writes_error_json(tmp_path):
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "ValidationError"
     assert err["detail"] == "coupling.alpha must be a finite number"
+
+
+@pytest.mark.parametrize("alpha, beta, detail", [
+    (1.0, 1e-200, "eigenvalue -k^2 overflows"),
+    (5e-324, 0.0, "a root of the secular quadratic leaves the float range"),
+], ids=["eigenvalue-overflows", "root-underflows"])
+def test_interval_beyond_float_range_writes_error_json(tmp_path, alpha, beta, detail):
+    # beta = 1e-200 has a root k = 2e200, so -k^2 is -inf; alpha = 5e-324
+    # has the root alpha / 2, which rounds to 0
+    doc = dict(INTERVAL_DOC, coupling={"alpha": alpha, "beta": beta, "gamma": [0.0, 0.0]})
+    code, out = run_cli(tmp_path, "interval", doc)
+    assert code == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ValidationError"
+    assert err["detail"].startswith(detail)
+    assert not (out / "report.json").exists()
 
 
 def test_circle_fem_reports_the_certified_count(tmp_path):
@@ -748,6 +772,8 @@ def test_radial_oracle_exact_value(tmp_path):
     assert rep["results"]["N"] == 1
     assert rep["results"]["eigenvalues"][0] == pytest.approx(
         -0.6349095705463543, abs=1e-10)
+    # the s-wave root is bisected to adjacent floats, i.e. with tol 0
+    assert rep["tolerances"] == {"bisect_tol": 0.0}
 
 
 def test_sphere_task_matches_oracle(tmp_path):

@@ -9,12 +9,7 @@ from hypothesis import strategies as st
 
 import surfint as si
 from surfint import core
-from surfint.errors import (
-    BetaNonzeroOnSigmaZero,
-    BetaZeroOnSigmaBeta,
-    NonRealAlpha,
-    ValidationError,
-)
+from surfint.errors import NonRealAlpha, ValidationError
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -108,45 +103,25 @@ def test_m_infinity_rejects_bad_domain():
 
 
 def test_validate_coupling_partition_inference():
-    f = si.validate_coupling(1.0, 2.0, 1j)
-    assert f.single.kind == si.FREE
-    f = si.validate_coupling(1.0, 0.0, 1j)
-    assert f.single.kind == si.CONSTRAINED
+    assert si.validate_coupling(1.0, 2.0, 1j).kind == si.FREE
+    assert si.validate_coupling(1.0, 0.0, 1j).kind == si.CONSTRAINED
 
 
-def test_validate_coupling_partition_mismatches():
-    with pytest.raises(BetaZeroOnSigmaBeta):
-        si.validate_coupling(1.0, 0.0, 0.0, partition=si.FREE)
-    with pytest.raises(BetaNonzeroOnSigmaZero):
-        si.validate_coupling(1.0, 2.0, 0.0, partition=si.CONSTRAINED)
-    with pytest.raises(NonRealAlpha):
-        si.validate_coupling(1 + 2j, 1.0, 0.0)
-
-
-def test_validate_coupling_reports_all_problems():
+def test_validate_coupling_lists_every_problem():
+    with pytest.raises(NonRealAlpha) as exc:
+        si.validate_coupling(1 + 2j, 1j, 0.0)
+    assert exc.value.problems == ["alpha must be real, got (1+2j)", "beta must be real, got 1j"]
     with pytest.raises(ValidationError) as exc:
-        si.validate_coupling({"a": 1.0, "b": 2 + 1j}, {"a": 1.0, "b": 1j}, {"a": 0.0, "b": 0.0})
-    assert len(exc.value.problems) >= 2
-
-
-def test_validate_coupling_multi_region():
-    f = si.validate_coupling(
-        {"top": 1.0, "bottom": 2.0},
-        {"top": 1.0, "bottom": 0.0},
-        {"top": 0.0, "bottom": 1j},
-    )
-    assert f.names() == ("top", "bottom")
-    assert f.coupling("top").kind == si.FREE
-    assert f.coupling("bottom").kind == si.CONSTRAINED
-    with pytest.raises(ValidationError):
-        _ = f.single
+        si.validate_coupling(1.0, 2 + 1j, 0.0)
+    assert type(exc.value) is ValidationError
+    assert exc.value.problems == ["beta must be real, got (2+1j)"]
 
 
 def test_constraint_coefficients_cover_gamma_two():
     # gamma = 2 forces the inner trace to vanish; gamma = -2 the outer one
-    ci, ce = si.validate_coupling(0.0, 0.0, 2.0).single.constraint_coefficients()
+    ci, ce = si.validate_coupling(0.0, 0.0, 2.0).constraint_coefficients()
     assert ci == 0.0 and ce == 2.0
-    ci, ce = si.validate_coupling(0.0, 0.0, -2.0).single.constraint_coefficients()
+    ci, ce = si.validate_coupling(0.0, 0.0, -2.0).constraint_coefficients()
     assert ci == 2.0 and ce == 0.0
 
 
@@ -184,9 +159,9 @@ def test_theta_scaling_with_beta():
 
 
 def test_field_helpers():
-    assert si.delta_field(1.5).single == si.RegionCoupling(1.5, 0.0, 0j, si.CONSTRAINED)
-    assert si.delta_prime_field(2.0).single == si.RegionCoupling(0.0, 2.0, 0j, si.FREE)
-    assert si.uniform_field(1, 2, 1j).single.gamma == 1j
+    assert si.delta_field(1.5) == si.RegionCoupling(1.5, 0.0, 0j, si.CONSTRAINED)
+    assert si.delta_prime_field(2.0) == si.RegionCoupling(0.0, 2.0, 0j, si.FREE)
+    assert si.uniform_field(1, 2, 1j).gamma == 1j
 
 
 # ---------------------------------------------------------------- bisection

@@ -5,8 +5,6 @@ the FEM code: Bessel secular equations for the circle (scipy.special)
 and the banded radial finite-difference solver.
 """
 
-import os
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -16,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from surfint import core, fem2d, radial
-from surfint.errors import MeshQualityFailure, ParseError, UnknownRegionTag, ValidationError
+from surfint.errors import MeshQualityFailure, ValidationError
 
 
 def circle_delta_eigenvalue(alpha_tilde, R=1.0):
@@ -60,11 +58,16 @@ def test_mesh_basic_structure():
     for i, j in mesh.outer_edges:
         assert np.isclose(np.hypot(*mesh.vertices[i]), 5.0)
     assert fem2d.min_angle_degrees(mesh) >= fem2d.MIN_ANGLE_DEG
-    # every triangle is tagged with the side it lies on
+    # triangles inside the interface never use an outer trace copy, and
+    # triangles outside never use an inner one
     cents = mesh.vertices[mesh.triangles].mean(axis=1)
-    r = np.hypot(cents[:, 0], cents[:, 1])
-    for rc, tag in zip(r, mesh.tri_region):
-        assert (tag == "inner") == (rc < 1.0)
+    inside = np.hypot(cents[:, 0], cents[:, 1]) < 1.0
+    inner, outer = mesh.interface_edges[:, 0], mesh.interface_edges[:, 1]
+    assert not np.isin(mesh.triangles[inside], outer).any()
+    assert not np.isin(mesh.triangles[~inside], inner).any()
+    # each copy does belong to a triangle on its own side
+    assert np.isin(inner, mesh.triangles[inside]).all()
+    assert np.isin(outer, mesh.triangles[~inside]).all()
 
 
 def test_mesh_determinism():
@@ -99,9 +102,7 @@ def test_min_angle_flags_slivers():
     bad = fem2d.InterfaceMesh(
         vertices=verts,
         triangles=tris,
-        tri_region=mesh.tri_region + ("inner",),
         interface_edges=mesh.interface_edges,
-        edge_region=mesh.edge_region,
         outer_edges=mesh.outer_edges,
         meta={},
     )
@@ -234,43 +235,6 @@ def test_delta_consistency_with_single_trace_assembly():
     assert np.max(np.abs(K_r.toarray().imag)) == 0.0
     assert np.max(np.abs(K_r.toarray().real - K1)) < 1e-12
     assert np.max(np.abs(M_r.toarray().real - M1)) < 1e-14
-
-
-def test_unknown_region_tag():
-    mesh = fem2d.build_mesh(1.0, 3.0, 0.3)
-    field = core.validate_coupling({"elsewhere": 1.0}, {"elsewhere": 0.0}, {"elsewhere": 0.0})
-    with pytest.raises(UnknownRegionTag):
-        fem2d.assemble(field, mesh)
-
-
-def test_mesh_io_roundtrip(tmp_path):
-    mesh = fem2d.build_mesh(1.0, 3.0, 0.3)
-    path = os.path.join(tmp_path, "disk.mesh")
-    fem2d.save_mesh(mesh, path)
-    back = fem2d.load_mesh(path)
-    assert np.array_equal(back.vertices, mesh.vertices)
-    assert np.array_equal(back.triangles, mesh.triangles)
-    assert back.tri_region == mesh.tri_region
-    assert np.array_equal(back.interface_edges, mesh.interface_edges)
-    assert back.edge_region == mesh.edge_region
-    assert len(back.outer_edges) == len(mesh.outer_edges)
-    pen = fem2d.assemble(core.delta_field(1.0), mesh)
-    pen2 = fem2d.assemble(core.delta_field(1.0), back)
-    diff = pen2.K - pen.K
-    assert diff.nnz == 0 or abs(diff).max() == 0.0
-
-
-def test_mesh_parse_errors(tmp_path):
-    bad = os.path.join(tmp_path, "bad.mesh")
-    with open(bad, "w") as fh:
-        fh.write("v 0.0 0.0\nv 1.0 0.0\nv 0.0 1.0\nt 0 1 2 inner\nq what\n")
-    with pytest.raises(ParseError):
-        fem2d.load_mesh(bad)
-    empty = os.path.join(tmp_path, "empty.mesh")
-    with open(empty, "w") as fh:
-        fh.write("\n")
-    with pytest.raises(ParseError):
-        fem2d.load_mesh(empty)
 
 
 def test_negative_spectrum_report():

@@ -78,10 +78,13 @@ def test_hypothesis_rejects_wrong_coupling_shape():
 def test_hypothesis_checks_case_params():
     ok, fails = harness.check_hypothesis(make_case("alpha_direct", 2.0, 1.0, 0.0, 1.0, dd=2.0))
     assert not ok and fails == ["unknown params key 'dd' for geometry 'interval'"]
-    sphere = dict(R=1.0, R_out=12.0, n_grid=128, mode_max=0, outer_bc="dirichlet")
+    sphere = dict(R=1.0, R_out=12.0, n_grid=128, mode_max=0)
     ok, fails = harness.check_hypothesis(
         make_case("alpha_direct", 2.0, 1.0, 0.0, 1.0, "sphere-radial", **sphere))
     assert ok, fails
+    ok, fails = harness.check_hypothesis(
+        make_case("alpha_direct", 2.0, 1.0, 0.0, 1.0, "sphere-radial", outer_bc="dirichlet"))
+    assert fails == ["unknown params key 'outer_bc' for geometry 'sphere-radial'"]
     ok, fails = harness.check_hypothesis(
         make_case("alpha_direct", 2.0, 1.0, 0.0, 1.0, "sphere-radial", n_grid=True, mode_max=2.5))
     assert fails == ["params n_grid must be an integer, got True",

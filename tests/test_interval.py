@@ -10,12 +10,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import surfint as si
 from surfint import interval
-from surfint.errors import NotAnEigenvalue, ValidationError
+from surfint.errors import ValidationError
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -102,9 +102,17 @@ def test_characteristic_reduces_to_secular_quadratic(a, b, gre, gim, d, k):
     b=st.floats(-4, 4, **finite).filter(lambda x: x == 0.0 or abs(x) >= 1e-3),
     g=st.complex_numbers(max_magnitude=3, **finite),
 )
+@example(a=5e-324, b=0.0, g=0j)  # the root a / c rounds to 0: an error, not N = 0
 def test_secular_roots_are_the_positive_roots_of_q(a, b, g):
     p = prob(a, b, g, 1.0)
-    roots = interval.secular_roots(p)
+    try:
+        roots = interval.secular_roots(p)
+    except ValidationError as exc:
+        # the small root is a over a number in [2, 6.5]; only one below the
+        # normal float range may raise
+        assert "leaves the float range" in str(exc)
+        assert 0.0 < abs(a) < 7.0 * np.finfo(float).tiny
+        return
     assert list(roots) == sorted(roots, reverse=True)
     assert all(s > 0.0 for s in roots)
     c = 0.5 * (4.0 + a * b + abs(g) ** 2)
@@ -335,47 +343,13 @@ def test_m_interval_below_flat_limit_and_monotone_in_d(a, b, gim):
 
 
 def test_m_interval_perturbed_relaxes_to_zero():
-    p = prob(2.0, 1.0, 0.0, 6.0)
-    values = [si.m_interval_perturbed(p, n) for n in (1, 4, 16, 64)]
-    assert values[0] == si.m_interval(p)
+    # the coupling (alpha/n, n beta) weakens the diagonal interaction
+    values = [si.m_interval(prob(2.0 / n, 1.0 * n, 0.0, 6.0)) for n in (1, 4, 16, 64)]
     assert all(values[i] < values[i + 1] for i in range(3))
     assert abs(values[-1]) < 0.01
 
 
-# ----------------------------------------------------- eigenfunctions, errors
-
-
-def test_eigenfunction_delta_symmetry():
-    p = prob(2.0, 0.0, 0.0, 10.0)
-    sp = si.negative_spectrum(p)
-    A, B, C, D = si.eigenfunction_coefficients(sp.ks[0], p)
-    # delta ground state is even: psi(-x) = psi(x) maps (A,B,C,D)->(D,C,B,A)
-    assert abs(A - D) < 1e-8 * abs(B)
-    assert abs(B - C) < 1e-8 * abs(B)
-    # unit L2 norm, checked against a brute-force quadrature
-    x = np.linspace(-p.d, 0, 20001)
-    k = sp.ks[0]
-    left = A * np.exp(-k * x) + B * np.exp(k * x)
-    x2 = np.linspace(0, p.d, 20001)
-    right = C * np.exp(-k * x2) + D * np.exp(k * x2)
-    nrm = np.trapezoid(np.abs(left) ** 2, x) + np.trapezoid(np.abs(right) ** 2, x2)
-    assert nrm == pytest.approx(1.0, abs=1e-6)
-
-
-def test_eigenfunction_satisfies_matching_rows():
-    p = prob(1.0, 2.0, 1 + 1j, 5.0)
-    sp = si.negative_spectrum(p)
-    for k in sp.ks:
-        v = np.array(si.eigenfunction_coefficients(k, p))
-        mat = si.matching_matrix(k, p)
-        mat = mat / np.linalg.norm(mat, axis=1)[:, None]
-        assert np.max(np.abs(mat @ v)) < 1e-8 * np.linalg.norm(v)
-
-
-def test_eigenfunction_rejects_non_root():
-    p = prob(2.0, 0.0, 0.0, 10.0)
-    with pytest.raises(NotAnEigenvalue):
-        si.eigenfunction_coefficients(0.5, p)
+# ------------------------------------------------------------------ errors
 
 
 def test_negative_alpha_needs_no_k_max():

@@ -144,7 +144,7 @@ def test_fd_full_coupling_sphere_vs_secular():
 def test_fd_constrained_gamma_sphere_vs_secular():
     # beta = 0 with gamma != 0: |c_i|^2 k coth(kR) + |c_e|^2 k = alpha + (|c_i|^2 - |c_e|^2)/R
     field = si.uniform_field(3.0, 0.0, 1j)
-    ci, ce = field.single.constraint_coefficients()
+    ci, ce = field.constraint_coefficients()
     qc = 3.0 + (abs(ci) ** 2 - abs(ce) ** 2)
     k0 = brentq(
         lambda k: abs(ci) ** 2 * k / np.tanh(k) + abs(ce) ** 2 * k - qc, 1e-6, 50, xtol=1e-14
@@ -223,9 +223,9 @@ def test_validation_errors():
 
 
 def test_singular_stencil_guard():
-    # a free-kind region with beta == 0 cannot pass validate_coupling; the
-    # solver still refuses it if constructed by hand
-    bad = si.CouplingField((("interface", si.RegionCoupling(1.0, 0.0, 0.0, si.FREE)),))
+    # a free-kind coupling with beta == 0 cannot pass validate_coupling;
+    # the solver still refuses it if constructed by hand
+    bad = si.RegionCoupling(1.0, 0.0, 0.0, si.FREE)
     with pytest.raises(SingularInterfaceStencil):
         radial.radial_fd_spectrum(geom2(), bad, 128)
 
@@ -235,7 +235,7 @@ def test_singular_stencil_guard():
 
 def banded_eigenvalues(geom, field, n_grid):
     """Every eigenvalue of K x = lambda W x, by a full complex banded solve."""
-    diag, off, weights = radial._assemble_radial(geom, field.single, n_grid)
+    diag, off, weights = radial._assemble_radial(geom, field, n_grid)
     s = 1.0 / np.sqrt(weights)
     band = np.zeros((2, len(diag)), dtype=complex)
     band[1] = diag * s * s
