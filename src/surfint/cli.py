@@ -120,7 +120,8 @@ def _boolean(v):
 def _modes(v):
     ok = isinstance(v, list) and v and all(
         isinstance(m, int) and not isinstance(m, bool) and m >= 0 for m in v)
-    return (list(v), None) if ok else (None, "must be a nonempty list of mode indices >= 0")
+    ok = ok and len(set(v)) == len(v)  # a repeated mode would be merged twice
+    return (list(v), None) if ok else (None, "must be a nonempty list of distinct mode indices >= 0")
 
 
 def _numbers(v):
@@ -481,21 +482,6 @@ def _run_certify(cfg, verbose):
     return TaskOutcome(results, verdict=bool(rep["ok"]))
 
 
-def _sphere_delta_count(alpha_tilde, R):
-    """Exact bound-state count of the attractive delta sphere in 3-D.
-
-    Mode l binds iff alpha_tilde * R > 2l + 1 (the matching product
-    x i_l(x) k_l(x) decreases from its limit 1/(2l+1) at x = 0), each
-    bound mode contributing multiplicity 2l + 1.
-    """
-    xi = alpha_tilde * R
-    n, mode = 0, 0
-    while xi > 2 * mode + 1:
-        n += 2 * mode + 1
-        mode += 1
-    return n
-
-
 def _run_sweep(cfg, verbose):
     a0, b0, g0 = cfg.coupling
     param = cfg.sweep["parameter"]
@@ -528,9 +514,8 @@ def _run_sweep(cfg, verbose):
     def eval_sphere_exact(value):
         at = value if param == "alpha" else a0
         R = value if param == "R" else cfg.geometry["R"]
-        count, lam = radial.sphere_swave_matching(at, R)
-        lams = [lam if count else None] + [None] * (n - 1)
-        return (value, lams[:n], _sphere_delta_count(at, R), _safe_m_infinity(at, 0.0, 0.0))
+        N, lams = radial.sphere_delta_spectrum(at, R, n)
+        return (value, lams + [None] * (n - len(lams)), N, _safe_m_infinity(at, 0.0, 0.0))
 
     def eval_grid(value):
         a, b, R = a0, b0, cfg.geometry["R"]

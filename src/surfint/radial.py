@@ -9,18 +9,18 @@ radial problem per angular mode:
     dimension 3, mode l:   -u'' + l(l+1)/r^2 u  with u = r psi (weight 1)
 
 The discretization is a conservative control-volume scheme: stiffness is
-assembled face by face as sum_faces (w_face/h) |psi_{j+1} - psi_j|^2, so
-the matrix pencil (K, W) is Hermitian tridiagonal with diagonal positive
-weight W.  W^{-1/2} K W^{-1/2} is unitarily similar to the real symmetric
-tridiagonal with off-diagonal |K_{j,j+1}| / sqrt(W_j W_{j+1}), and only
-the eigenvalues asked for are computed, by bisection on its Sturm counts
-(LAPACK stebz): those below -NEG_TOL for a spectrum, the lowest ``count``
-for a comparison.  The Sturm count certifies how many there are.  The
-interface at r = R carries two trace unknowns (inner a, outer b); the surface term subtracts w(R) <Theta_eff v, v> from
-the form, where Theta_eff is the coupling matrix (plus diag(1/R, -1/R) in
-the u variable, which absorbs the substitution's boundary terms).  On a
-constrained coupling the traces are folded onto the single unknown t via
-(a, b) = (c_i, c_e) t before solving; the resulting jump row reproduces
+sum_faces (w_face/h) |psi_{j+1} - psi_j|^2, assembled over arrays of all
+faces, so the pencil (K, W) is Hermitian tridiagonal with diagonal
+positive weight W.  W^{-1/2} K W^{-1/2} is unitarily similar to the real
+symmetric tridiagonal with off-diagonal |K_{j,j+1}| / sqrt(W_j W_{j+1});
+only the eigenvalues asked for are computed, by bisection on its Sturm
+counts (LAPACK stebz): those below -NEG_TOL for a spectrum, the lowest
+``count`` for a comparison.  The Sturm count certifies how many there
+are.  The traces at r = R are two unknowns (inner a, outer b), and the
+form loses w(R) <Theta_eff v, v>, where Theta_eff is the coupling matrix
+(plus diag(1/R, -1/R) in the u variable, which absorbs the substitution's
+boundary terms).  On a constrained coupling the traces are folded onto
+the single unknown t via (a, b) = (c_i, c_e) t; the jump row reproduces
 
     (1 - gamma/2) psi'(R-) - (1 + gamma/2) psi'(R+) = (alpha/2)(a + b)
 
@@ -113,6 +113,43 @@ def sphere_swave_matching(alpha_tilde, R):
     return 1, -k * k
 
 
+def sphere_delta_spectrum(alpha_tilde, R, count):
+    """Exact bound states of the attractive delta sphere in 3-D.
+
+    Mode l binds iff alpha_tilde R > 2l + 1, and then has one root k of
+
+        alpha_tilde R I_{l+1/2}(kR) K_{l+1/2}(kR) = 1,
+
+    an eigenvalue -k^2 of multiplicity 2l + 1: the product falls in k from
+    1/(2l + 1) and stays below 1/(2kR), so k < alpha_tilde / 2.  It falls
+    in l too, so the lowest ``count`` eigenvalues come from the first
+    modes, the only ones solved.  Returns (N, those eigenvalues ascending).
+    l = 0 is sphere_swave_matching; higher modes are bisected on the
+    scaled ive * kve, whose exponentials cancel.  Raises ConvergenceFailure
+    where that product is not finite (I underflows for l far above kR).
+    """
+    from scipy.special import ive, kve  # imported here: interval tasks never pay for it
+
+    n_swave, lam = sphere_swave_matching(alpha_tilde, R)
+    xi = float(alpha_tilde) * R
+    bound = math.ceil(xi) // 2  # the modes l with 2l + 1 < xi
+    eigenvalues = [lam] * n_swave
+    for l in range(1, min(bound, math.isqrt(max(count, 1) - 1) + 1)):  # modes 0..l hold (l + 1)^2
+
+        def excess(k):  # 1 - xi I K, rising through 0 at the root
+            p = float(ive(l + 0.5, k * R)) * float(kve(l + 0.5, k * R))
+            if not math.isfinite(p):
+                raise ConvergenceFailure(f"I K product of mode {l} is {p} at kR = {k * R}")
+            return 1.0 - xi * p
+
+        hi, lo = 0.5 * alpha_tilde, 0.25 * alpha_tilde
+        while excess(lo) > 0.0:
+            hi, lo = lo, 0.5 * lo
+        k = core.bisect(excess, lo, hi, SWAVE_TOL)
+        eigenvalues += [-k * k] * (2 * l + 1)
+    return bound * bound, eigenvalues[:count]
+
+
 def swave_threshold(R=1.0, lo=0.9, hi=1.1, tol=1e-10):
     """Localize the critical alpha_tilde*R where the sphere state appears.
 
@@ -134,13 +171,6 @@ def _coupling_block(rc, geom):
     else:
         w_R = geom.R
     return w_R * theta
-
-
-def _cell_mass(lo_edge, hi_edge, dim2):
-    """Integral of the weight over one control cell (exact)."""
-    if dim2:
-        return 0.5 * (hi_edge * hi_edge - lo_edge * lo_edge)  # integral of r dr
-    return hi_edge - lo_edge
 
 
 def radial_fd_spectrum(geom, field, n_grid):
@@ -217,57 +247,39 @@ def _assemble_radial(geom, rc, n_grid):
     # in 2-D only the axisymmetric mode keeps the origin node; in the u
     # variable (3-D) u(0) = 0 always
     keep_origin = dim2 and mode == 0
-    j0 = 0 if keep_origin else 1
-    r_in = h1 * np.arange(j0, n1 + 1)
+    r_in = h1 * np.arange(0 if keep_origin else 1, n1 + 1)
     keep_outer_end = geom.outer_bc == "neumann"
-    jN = n2 if keep_outer_end else n2 - 1
-    r_out = R + h2 * np.arange(0, jN + 1)
+    r_out = R + h2 * np.arange(0, (n2 if keep_outer_end else n2 - 1) + 1)
+    n_in = len(r_in)
+    n = n_in + len(r_out)
 
-    n_in, n_out = len(r_in), len(r_out)
-    n = n_in + n_out
+    # face stiffness w(r_face)/h, zero between the traces a and b (they
+    # share no face); the face to an eliminated origin node or Dirichlet
+    # end node lands on the diagonal only
+    if dim2:
+        f_in, f_out = (r_in[:-1] + 0.5 * h1) / h1, (r_out[:-1] + 0.5 * h2) / h2
+        f_origin, f_end = 0.5 * h1 / h1, (R_out - 0.5 * h2) / h2
+    else:
+        f_in, f_out = np.full(n_in - 1, 1.0 / h1), np.full(n - n_in - 1, 1.0 / h2)
+        f_origin, f_end = 1.0 / h1, 1.0 / h2
+    faces = np.concatenate([f_in, [0.0], f_out])
     diag = np.zeros(n)
-    off = np.zeros(n - 1, dtype=complex)
-    weights = np.zeros(n)
+    diag[0] = 0.0 if keep_origin else f_origin
+    diag[:-1] += faces
+    diag[1:] += faces
+    diag[-1] += 0.0 if keep_outer_end else f_end
+    off = (0.0 - faces).astype(complex)
 
-    def wface(r):
-        return r if dim2 else 1.0
-
-    # faces: inner side (including the face to the eliminated origin node
-    # when psi(0) = 0 / u(0) = 0 holds: its stiffness lands on the diagonal)
-    if not keep_origin:
-        f = wface(0.5 * h1) / h1
-        diag[0] += f
-    for i in range(n_in - 1):
-        f = wface(r_in[i] + 0.5 * h1) / h1
-        diag[i] += f
-        diag[i + 1] += f
-        off[i] += -f
-    for i in range(n_out - 1):
-        f = wface(r_out[i] + 0.5 * h2) / h2
-        ii = n_in + i
-        diag[ii] += f
-        diag[ii + 1] += f
-        off[ii] += -f
-    if not keep_outer_end:
-        f = wface(R_out - 0.5 * h2) / h2
-        diag[n - 1] += f
-
-    # control-cell masses (exact integrals of the weight)
-    for i, r in enumerate(r_in):
-        lo = max(0.0, r - 0.5 * h1)
-        hi = min(R, r + 0.5 * h1)
-        weights[i] = _cell_mass(lo, hi, dim2)
-    for i, r in enumerate(r_out):
-        lo = max(R, r - 0.5 * h2)
-        hi = min(R_out, r + 0.5 * h2)
-        weights[n_in + i] = _cell_mass(lo, hi, dim2)
+    # control-cell masses: exact integrals of the weight (r in 2-D, 1 in 3-D)
+    lo = np.concatenate([np.maximum(0.0, r_in - 0.5 * h1), np.maximum(R, r_out - 0.5 * h2)])
+    hi = np.concatenate([np.minimum(R, r_in + 0.5 * h1), np.minimum(R_out, r_out + 0.5 * h2)])
+    weights = 0.5 * (hi * hi - lo * lo) if dim2 else hi - lo
 
     # centrifugal term c/r^2, lumped on cells (skipped at the origin where
     # it only appears for modes that were eliminated by the r=0 condition)
     if c_cent:
         with np.errstate(divide="ignore"):
-            rads = np.concatenate([r_in, r_out])
-            diag += c_cent * weights / rads**2
+            diag += c_cent * weights / np.concatenate([r_in, r_out]) ** 2
 
     # outer natural condition in the u variable: the substitution leaves
     # -|u(R_out)|^2 / R_out in the form (psi'(R_out) = 0 becomes
@@ -361,10 +373,13 @@ def assemble_mode_sum(geom, field, modes, n_grid):
             if mode > 256:
                 raise ConvergenceFailure("mode sweep did not terminate by mode 256")
     else:
+        modes = [int(m) for m in modes]
+        if len(set(modes)) != len(modes):  # a repeated mode would be merged twice
+            raise ValidationError(f"modes must be distinct, got {modes}")
         for mode in modes:
-            spec = radial_fd_spectrum(replace(geom, mode=int(mode)), field, n_grid)
-            per_mode[int(mode)] = spec.eigenvalues
-            _merge(merged, spec.eigenvalues, int(mode), geom.dimension)
+            spec = radial_fd_spectrum(replace(geom, mode=mode), field, n_grid)
+            per_mode[mode] = spec.eigenvalues
+            _merge(merged, spec.eigenvalues, mode, geom.dimension)
     merged.sort()
     return SpectrumReport(
         eigenvalues=tuple(merged),

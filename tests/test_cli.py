@@ -2,13 +2,16 @@
 
 import importlib.resources
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import jsonschema
 import pytest
 
-from surfint import cli
+from surfint import cli, radial
 from surfint.errors import ParseError, ValidationError
 
 
@@ -179,7 +182,7 @@ PROBLEM_CASES = [
          "geometry.R must be > 0, got -1",
          "geometry.R_out must be a finite number",
          "solver.n_grid must be a positive integer",
-         "solver.modes must be a nonempty list of mode indices >= 0",
+         "solver.modes must be a nonempty list of distinct mode indices >= 0",
          "solver.outer_bc must be 'neumann' or 'dirichlet', got 'open'"],
         id="sphere-rules"),
     pytest.param(
@@ -187,7 +190,7 @@ PROBLEM_CASES = [
          "solver": {"modes": [0, -1], "outer_bc": None}},
         ValidationError,
         ["geometry.R_out must exceed R, got 2.0 <= 2.0",
-         "solver.modes must be a nonempty list of mode indices >= 0",
+         "solver.modes must be a nonempty list of distinct mode indices >= 0",
          "solver.outer_bc must be 'neumann' or 'dirichlet', got None"],
         id="sphere-radii-order"),
     pytest.param(
@@ -196,8 +199,14 @@ PROBLEM_CASES = [
         ValidationError,
         ["missing required field geometry.R",
          "solver.n_grid must be a positive integer",
-         "solver.modes must be a nonempty list of mode indices >= 0"],
+         "solver.modes must be a nonempty list of distinct mode indices >= 0"],
         id="sphere-modes-not-list"),
+    pytest.param(
+        {"task": "sphere", "coupling": COUPLING, "geometry": {"R": 1.0},
+         "solver": {"modes": [0, 1, 0]}},
+        ValidationError,
+        ["solver.modes must be a nonempty list of distinct mode indices >= 0"],
+        id="sphere-modes-repeated"),
     pytest.param(
         {"task": "circle-fem", "coupling": COUPLING,
          "geometry": {"R": 1, "R_out": 0.5, "h": 0, "kind": "circle"},
@@ -702,6 +711,53 @@ def test_sweep_threshold_transition_at_one(tmp_path):
     assert counts[1.01] == 1 and counts[1.1] == 1
     rep = json.loads((out / "report.json").read_text())
     assert rep["results"]["backend"] == "sphere-delta-exact"
+
+
+def test_sphere_exact_sweep_reports_every_bound_mode(tmp_path):
+    # alpha R = 4.4 > 3 binds the s-wave and the three p-wave states
+    doc = {"task": "sweep",
+           "coupling": {"alpha": 4.4, "beta": 0.0, "gamma": [0.0, 0.0]},
+           "geometry": {"kind": "sphere", "R": 1.0},
+           "sweep": {"parameter": "alpha", "start": 4.4, "stop": 4.4, "steps": 1},
+           "solver": {"eigen_count": 5}}
+    code, out = run_cli(tmp_path, "sweep", doc)
+    assert code == 0
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert lines[2] == "value,lambda_1,lambda_2,lambda_3,lambda_4,lambda_5,N,m_A"
+    cells = lines[3].split(",")
+    assert cells[1] == repr(radial.sphere_swave_matching(4.4, 1.0)[1])
+    p_wave = [float(c) for c in cells[2:5]]
+    assert p_wave[0] == p_wave[1] == p_wave[2] == pytest.approx(-2.418468, abs=1e-6)
+    assert cells[5] == "" and cells[6] == "4"
+    point = json.loads((out / "report.json").read_text())["results"]["points"][0]
+    assert point["N"] == 4 and point["eigenvalues"] == [float(c) for c in cells[1:5]]
+
+
+# a fresh interpreter running these tasks must not import scipy.special or
+# scipy.optimize: they cost more than a whole interval task
+IMPORT_PROBE = """
+import json, os, sys
+from surfint import cli
+for i, doc in enumerate(json.loads(sys.argv[1])):
+    assert cli.run(cli.parse_config(json.dumps(doc)), os.path.join(sys.argv[2], str(i))) == 0
+print(json.dumps([m for m in ("scipy.special", "scipy.optimize") if m in sys.modules]))
+"""
+
+
+def test_interval_tasks_import_no_special_functions(tmp_path):
+    docs = [
+        INTERVAL_DOC,
+        {"task": "sweep", "coupling": INTERVAL_DOC["coupling"], "geometry": {"d": 4.0},
+         "sweep": {"parameter": "alpha", "start": 0.5, "stop": 2.0, "steps": 4}},
+        {"task": "m-infinity", "coupling": {"alpha": 2.0, "beta": 1.0, "gamma": [0.5, 0.0]}},
+        {"task": "radial-oracle", "coupling": INTERVAL_DOC["coupling"], "geometry": {"R": 1.0}},
+    ]
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    res = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(docs), str(tmp_path)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == []
 
 
 def test_sweep_interval_backend(tmp_path):

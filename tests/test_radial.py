@@ -12,7 +12,7 @@ from scipy.special import iv, kv
 
 import surfint as si
 from surfint import radial
-from surfint.errors import SingularInterfaceStencil, ValidationError
+from surfint.errors import ConvergenceFailure, SingularInterfaceStencil, ValidationError
 
 
 def geom2(R=1.0, R_out=12.0, bc="neumann", mode=0):
@@ -90,6 +90,40 @@ def test_fd_matches_sphere_matching():
     ext, err_bar = fd_ladder(geom3(R_out=20.0), si.delta_field(2.0))
     assert abs(ext - lam) < 1e-6
     assert err_bar < 1e-5
+
+
+@pytest.mark.parametrize("xi", [1.5, 3.5, 4.4, 12.0])
+def test_delta_sphere_spectrum_against_fd_ladders(xi):
+    # mode l binds iff xi = alpha R > 2l + 1, once, with multiplicity 2l + 1
+    N, lams = radial.sphere_delta_spectrum(xi, 1.0, 1000)
+    bound = [l for l in range(12) if xi > 2 * l + 1]
+    assert N == len(lams) == sum(2 * l + 1 for l in bound)
+    assert lams == sorted(lams)
+    assert lams[0] == radial.sphere_swave_matching(xi, 1.0)[1]
+    field = si.delta_field(xi)
+    start = 0
+    for l in bound:
+        values = lams[start:start + 2 * l + 1]
+        start += 2 * l + 1
+        assert len(set(values)) == 1
+        # a Dirichlet box at R_out = 20 lifts the shallowest state by < 1e-7
+        ext, err_bar = fd_ladder(geom3(bc="dirichlet", mode=l), field, (256, 512, 1024))
+        assert abs(ext - values[0]) <= err_bar + 1e-7
+    fd = radial.assemble_mode_sum(geom3(bc="dirichlet"), field, None, 256)
+    assert fd.N == N
+    # only the lowest ``count`` are returned, and the census is unchanged
+    assert radial.sphere_delta_spectrum(xi, 1.0, 2) == (N, lams[:2])
+
+
+def test_delta_sphere_spectrum_brackets_where_the_product_is_finite():
+    # alpha R = 400 binds l = 0..199; near kR = 0 the product of mode 199
+    # is 0 * inf = NaN, so each lower bracket end must sit where it is finite
+    N, lams = radial.sphere_delta_spectrum(400.0, 1.0, 40000)
+    assert N == len(lams) == 40000
+    assert lams == sorted(lams) and all(math.isfinite(x) and x < 0.0 for x in lams)
+    # at kR ~ 1e9 the scaled product of mode 1 is not finite: no value is made up
+    with pytest.raises(ConvergenceFailure):
+        radial.sphere_delta_spectrum(1e10, 1.0, 2)
 
 
 # ------------------------------------------------------- 2-D Bessel references
@@ -194,6 +228,12 @@ def test_mode_sum_explicit_modes_in_3d():
     assert rep.N == len(per_mode["0"]) + 3 * len(per_mode["1"])
 
 
+def test_mode_sum_rejects_repeated_modes():
+    geom = radial.RadialGeometry(3, 1.0, 10.0, "dirichlet", 0)
+    with pytest.raises(ValidationError, match="modes must be distinct"):
+        radial.assemble_mode_sum(geom, si.delta_field(4.4), [1, 1], 128)
+
+
 def test_richardson_on_synthetic_ladder():
     h = np.array([1.0, 0.5, 0.25])
     vals = 3.0 + 2.0 * h**2 + 0.7 * h**4
@@ -286,3 +326,83 @@ def test_sturm_tolerance_resolves_a_shallow_state():
     got = radial.radial_fd_spectrum(geom, field, 2048).eigenvalues
     assert len(got) == 1
     assert abs(got[0] - want) <= 2e-10
+
+
+# ------------------------------------------- array assembly vs loop oracle
+
+
+def loop_assembly(geom, rc, n_grid):
+    """The pencil of _assemble_radial built face by face and cell by cell."""
+    dim2 = geom.dimension == 2
+    R, R_out, mode = geom.R, geom.R_out, geom.mode
+    n1 = n2 = int(n_grid)
+    h1 = R / n1
+    h2 = (R_out - R) / n2
+    c_cent = mode * mode if dim2 else mode * (mode + 1)
+    keep_origin = dim2 and mode == 0
+    r_in = h1 * np.arange(0 if keep_origin else 1, n1 + 1)
+    keep_outer_end = geom.outer_bc == "neumann"
+    r_out = R + h2 * np.arange(0, (n2 if keep_outer_end else n2 - 1) + 1)
+    n_in, n_out = len(r_in), len(r_out)
+    n = n_in + n_out
+    diag = np.zeros(n)
+    off = np.zeros(n - 1, dtype=complex)
+    weights = np.zeros(n)
+
+    def wface(r):
+        return r if dim2 else 1.0
+
+    def cell_mass(lo, hi):
+        return 0.5 * (hi * hi - lo * lo) if dim2 else hi - lo
+
+    if not keep_origin:
+        diag[0] += wface(0.5 * h1) / h1
+    for i in range(n_in - 1):
+        f = wface(r_in[i] + 0.5 * h1) / h1
+        diag[i] += f
+        diag[i + 1] += f
+        off[i] += -f
+    for i in range(n_out - 1):
+        f = wface(r_out[i] + 0.5 * h2) / h2
+        ii = n_in + i
+        diag[ii] += f
+        diag[ii + 1] += f
+        off[ii] += -f
+    if not keep_outer_end:
+        diag[n - 1] += wface(R_out - 0.5 * h2) / h2
+    for i, r in enumerate(r_in):
+        weights[i] = cell_mass(max(0.0, r - 0.5 * h1), min(R, r + 0.5 * h1))
+    for i, r in enumerate(r_out):
+        weights[n_in + i] = cell_mass(max(R, r - 0.5 * h2), min(R_out, r + 0.5 * h2))
+    if c_cent:
+        with np.errstate(divide="ignore"):
+            diag += c_cent * weights / np.concatenate([r_in, r_out]) ** 2
+    if not dim2 and keep_outer_end:
+        diag[n - 1] -= 1.0 / R_out
+    block = radial._coupling_block(rc, geom)
+    ia, ib = n_in - 1, n_in
+    diag[ia] -= block[0, 0].real
+    diag[ib] -= block[1, 1].real
+    off[ia] += -block[0, 1]
+    if rc.kind == si.CONSTRAINED:
+        diag, off, weights = radial._fold_constraint(diag, off, weights, ia, rc)
+    return diag, off, weights
+
+
+@pytest.mark.parametrize("field", [
+    si.uniform_field(2.0, 1.0, 0.5 + 0.3j),
+    si.delta_field(4.4),
+    si.uniform_field(2.5, 0.0, 2.0),
+    si.uniform_field(2.5, 0.0, -2.0),
+], ids=["free-complex", "delta", "constrained-gamma-2", "constrained-gamma-minus-2"])
+@pytest.mark.parametrize("n_grid", [64, 333, 2048])
+def test_array_assembly_equals_loop_oracle(field, n_grid):
+    for dim in (2, 3):
+        for bc in radial.OUTER_BCS:
+            for mode in (0, 1, 2, 17):
+                geom = radial.RadialGeometry(dim, 1.3, 7.0, bc, mode)
+                got = radial._assemble_radial(geom, field, n_grid)
+                want = loop_assembly(geom, field, n_grid)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype
+                    assert np.array_equal(g, w)
