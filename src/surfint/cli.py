@@ -364,7 +364,6 @@ def _run_interval(cfg, verbose):
             zip(spec.eigenvalues, spec.ks, diag["residuals"]), start=1)
     ]
     results = {
-        "coupling": _coupling_dict(a, b, g),
         "d": cfg.geometry["d"],
         "eigenvalues": list(spec.eigenvalues),
         "ks": list(spec.ks),
@@ -378,25 +377,30 @@ def _run_interval(cfg, verbose):
     return TaskOutcome(results, tolerances, spectrum_rows=rows)
 
 
-def _run_sphere(cfg, verbose):
-    a, b, g = cfg.coupling
-    R = cfg.geometry["R"]
+def _mode_sum(cfg, dimension, coupling, R, n_grid):
+    """Radial mode sum of a sphere task or a grid sweep point at radius R.
+
+    R_out defaults to 8R and outer_bc to neumann; n_grid is the task's
+    default when solver.n_grid is absent.
+    """
     geom = radial.RadialGeometry(
-        dimension=3,
+        dimension=dimension,
         R=R,
         R_out=cfg.geometry.get("R_out", 8.0 * R),
         outer_bc=cfg.solver.get("outer_bc", "neumann"),
         mode=0,
     )
-    rep = radial.assemble_mode_sum(
-        geom, core.uniform_field(a, b, g),
-        cfg.solver.get("modes"), cfg.solver.get("n_grid", 512))
+    return radial.assemble_mode_sum(geom, core.uniform_field(*coupling),
+                                    cfg.solver.get("modes"), cfg.solver.get("n_grid", n_grid))
+
+
+def _run_sphere(cfg, verbose):
+    rep = _mode_sum(cfg, 3, cfg.coupling, cfg.geometry["R"], 512)
     rows = [(i, lam, None, None) for i, lam in enumerate(rep.eigenvalues, start=1)]
     results = {
-        "coupling": _coupling_dict(a, b, g),
         "eigenvalues": list(rep.eigenvalues),
         "N": rep.N,
-        "m_infinity": _safe_m_infinity(a, b, g),
+        "m_infinity": _safe_m_infinity(*cfg.coupling),
     }
     return TaskOutcome(results, dict(rep.tolerances), dict(rep.convergence), rows)
 
@@ -413,7 +417,6 @@ def _run_circle_fem(cfg, verbose):
     )
     rows = [(i, lam, None, None) for i, lam in enumerate(rep.eigenvalues, start=1)]
     results = {
-        "coupling": _coupling_dict(a, b, g),
         "eigenvalues": list(rep.eigenvalues),
         "N": rep.N,
         "m_infinity": _safe_m_infinity(a, b, g),
@@ -431,7 +434,6 @@ def _run_radial_oracle(cfg, verbose):
     count, lam = radial.sphere_swave_matching(a, R)
     rows = [(1, lam, None, None)] if count else []
     results = {
-        "coupling": _coupling_dict(a, b, g),
         "R": R,
         "threshold_product": a * R,
         "N": count,
@@ -451,7 +453,6 @@ def _run_m_infinity(cfg, verbose):
     except CaseInapplicable as exc:
         matched = {"applicable": False, "reason": str(exc)}
     results = {
-        "coupling": _coupling_dict(a, b, g),
         "m_infinity": m,
         "matched_strength": matched,
     }
@@ -478,8 +479,7 @@ def _run_compare(cfg, verbose):
 def _run_certify(cfg, verbose):
     a, b, g = cfg.coupling
     rep = harness.bound_state_certificate(core.uniform_field(a, b, g), dict(cfg.geometry))
-    results = {"coupling": _coupling_dict(a, b, g), **rep}
-    return TaskOutcome(results, verdict=bool(rep["ok"]))
+    return TaskOutcome(rep, verdict=bool(rep["ok"]))
 
 
 def _run_sweep(cfg, verbose):
@@ -496,59 +496,28 @@ def _run_sweep(cfg, verbose):
         raise ValidationError(
             "solver.backend 'exact' needs interval geometry or a pure delta "
             "coupling on the sphere with the swept parameter alpha or R")
-    use_exact = exact_ok and backend != "grid"
-
-    def eval_interval(value):
-        a, b, d = a0, b0, cfg.geometry["d"]
-        if param == "alpha":
-            a = value
-        elif param == "beta":
-            b = value
-        else:
-            d = value
-        spec = interval.negative_spectrum(
-            interval.IntervalProblem(alpha=a, beta=b, gamma=g0, d=d))
-        lams = list(spec.eigenvalues[:n]) + [None] * max(0, n - len(spec.eigenvalues))
-        return (value, lams, len(spec.eigenvalues), _safe_m_infinity(a, b, g0))
-
-    def eval_sphere_exact(value):
-        at = value if param == "alpha" else a0
-        R = value if param == "R" else cfg.geometry["R"]
-        N, lams = radial.sphere_delta_spectrum(at, R, n)
-        return (value, lams + [None] * (n - len(lams)), N, _safe_m_infinity(at, 0.0, 0.0))
-
-    def eval_grid(value):
-        a, b, R = a0, b0, cfg.geometry["R"]
-        if param == "alpha":
-            a = value
-        elif param == "beta":
-            b = value
-        else:
-            R = value
-        geom = radial.RadialGeometry(
-            dimension=2 if kind == "circle" else 3,
-            R=R,
-            R_out=cfg.geometry.get("R_out", 8.0 * R),
-            outer_bc=cfg.solver.get("outer_bc", "neumann"),
-            mode=0,
-        )
-        rep = radial.assemble_mode_sum(
-            geom, core.uniform_field(a, b, g0), None, cfg.solver.get("n_grid", 256))
-        lams = list(rep.eigenvalues[:n]) + [None] * max(0, n - rep.N)
-        return (value, lams[:n], rep.N, _safe_m_infinity(a, b, g0))
-
     if kind == "interval":
-        eval_point = eval_interval
         backend_used = "interval-exact"
-    elif use_exact:
-        eval_point = eval_sphere_exact
+    elif exact_ok and backend != "grid":
         backend_used = "sphere-delta-exact"
     else:
-        eval_point = eval_grid
         backend_used = "radial-grid"
 
-    values = [float(v) for v in np.linspace(start, stop, steps)]
-    rows = [eval_point(v) for v in values]
+    rows = []
+    for value in (float(v) for v in np.linspace(start, stop, steps)):
+        at = {"alpha": a0, "beta": b0, **cfg.geometry, param: value}
+        a, b = at["alpha"], at["beta"]
+        if backend_used == "interval-exact":
+            lams = interval.negative_spectrum(
+                interval.IntervalProblem(alpha=a, beta=b, gamma=g0, d=at["d"])).eigenvalues
+            N = len(lams)
+        elif backend_used == "sphere-delta-exact":
+            N, lams = radial.sphere_delta_spectrum(a, at["R"], n)
+        else:
+            rep = _mode_sum(cfg, 2 if kind == "circle" else 3, (a, b, g0), at["R"], 256)
+            N, lams = rep.N, rep.eigenvalues
+        lams = list(lams[:n])
+        rows.append((value, lams + [None] * (n - len(lams)), N, _safe_m_infinity(a, b, g0)))
     if verbose:
         print(f"sweep {param}: {steps} points via {backend_used}", file=sys.stderr)
 
@@ -558,7 +527,6 @@ def _run_sweep(cfg, verbose):
         "stop": stop,
         "steps": steps,
         "backend": backend_used,
-        "coupling": _coupling_dict(a0, b0, g0),
         "points": [
             {"value": v, "eigenvalues": [x for x in lams if x is not None],
              "N": N, "m_A": mA}
@@ -627,6 +595,8 @@ def run(cfg, out_dir, verbose=False):
         outcome = _DISPATCH[cfg.task](cfg, verbose)
     except SurfintError as exc:
         return _fail(out_dir, cfg.sha256, cfg.task, exc)
+    if cfg.coupling is not None:
+        outcome.results["coupling"] = _coupling_dict(*cfg.coupling)
     report = {
         "task": cfg.task,
         "version": VERSION,
