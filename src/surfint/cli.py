@@ -18,8 +18,9 @@ gamma*) and every task takes output (dir):
 
     interval       exact negative spectrum on the symmetric interval,
                    one eigenvalue per positive root of its secular
-                   quadratic; k_max is an optional window on k
-                   geometry* d*;  solver: k_max, tol
+                   quadratic, its k bisected to adjacent floats; k_max
+                   is an optional window on k
+                   geometry* d*;  solver: k_max
     sphere         radial FD mode sum on the 3-D sphere interface
                    geometry* R*, R_out;  solver: n_grid, modes, outer_bc
     circle-fem     2-D interface FEM with an (h, R_out) refinement ladder
@@ -34,10 +35,14 @@ gamma*) and every task takes output (dir):
                    params holds only the keys of harness.PARAMS
     certify        bound-state existence/nonexistence certificates
                    geometry* kind*, R*, R_out, n_grid
-    sweep          one coupling/geometry parameter swept over a range
+    sweep          one coupling/geometry parameter swept over a range;
+                   each point is the interval solve, the exact delta
+                   sphere or the sphere task's mode sum (2-D on a circle)
                    geometry* d* (interval) or kind*, R*, R_out;
                    sweep* parameter*, start*, stop*, steps*;
                    solver: n_grid, eigen_count, outer_bc, backend
+                   (an interval sweep refuses n_grid, outer_bc and
+                   backend "grid")
 
 The table TASKS below holds this spec and the rule of every key.
 
@@ -168,7 +173,7 @@ TASKS = {
     "interval": {
         "coupling": _COUPLING,
         "geometry": {"d": (_positive, True)},
-        "solver": {"k_max": (_positive, False), "tol": (_positive, False)},
+        "solver": {"k_max": (_positive, False)},
     },
     "sphere": {
         "coupling": _COUPLING,
@@ -259,7 +264,8 @@ def _walk_list(items, spec, path, problems):
 
 
 def _check_sweep(geometry, values, problems):
-    """Mark an interval sweep and tie the swept parameter to its geometry."""
+    """Mark an interval sweep; tie the swept parameter and the radial
+    solver keys to the geometry."""
     if not isinstance(geometry, dict):
         return
     on_interval = "d" in geometry
@@ -270,6 +276,12 @@ def _check_sweep(geometry, values, problems):
         problems.append("sweep.parameter 'd' needs interval geometry (geometry.d)")
     if param == "R" and on_interval:
         problems.append("sweep.parameter 'R' needs circle or sphere geometry")
+    if on_interval:
+        solver = values.get("solver", {})
+        problems += [f"solver.{key} needs circle or sphere geometry"
+                     for key in ("n_grid", "outer_bc") if key in solver]
+        if solver.get("backend") == "grid":
+            problems.append("solver.backend 'grid' needs circle or sphere geometry")
 
 
 def parse_config(text):
@@ -355,8 +367,7 @@ def _safe_m_infinity(alpha, beta, gamma):
 def _run_interval(cfg, verbose):
     a, b, g = cfg.coupling
     prob = interval.IntervalProblem(alpha=a, beta=b, gamma=g, d=cfg.geometry["d"])
-    kwargs = {k: cfg.solver[k] for k in ("k_max", "tol") if k in cfg.solver}
-    spec = interval.negative_spectrum(prob, **kwargs)
+    spec = interval.negative_spectrum(prob, cfg.solver.get("k_max"))
     diag = spec.diagnostics
     rows = [
         (i, lam, k, res)
@@ -373,7 +384,7 @@ def _run_interval(cfg, verbose):
         "census_expected": diag["census_expected"],
         "degenerate": diag["degenerate"],
     }
-    tolerances = {"bisect_tol": kwargs.get("tol", 1e-12), "k_max": diag["k_max"]}
+    tolerances = {"bisect_tol": 0.0, "k_max": diag["k_max"]}
     return TaskOutcome(results, tolerances, spectrum_rows=rows)
 
 

@@ -56,7 +56,6 @@ class InterfaceMesh:
     triangles: np.ndarray
     interface_edges: np.ndarray
     outer_edges: np.ndarray
-    meta: dict
 
     @property
     def n_vertices(self):
@@ -80,10 +79,9 @@ def _ring_counts(radii, h, anchor, inward):
     if inward:
         counts[-1] = anchor
         for i in range(len(counts) - 2, -1, -1):
+            # every count is >= 8, so none exceeds the next ring's
             c = min(counts[i], counts[i + 1])
             counts[i] = max(c, counts[i + 1] // 2, 8)
-            if counts[i] > counts[i + 1]:
-                counts[i] = counts[i + 1]
     else:
         counts[0] = anchor
         for i in range(1, len(counts)):
@@ -185,7 +183,6 @@ def build_mesh(R, R_out, h_target):
         triangles=np.asarray(tris, dtype=np.int32),
         interface_edges=np.asarray(iface_edges, dtype=np.int32),
         outer_edges=np.asarray(outer_edges, dtype=np.int32),
-        meta={"R": float(R), "R_out": float(R_out), "h_target": float(h_target)},
     )
     q = min_angle_degrees(mesh)
     if q < MIN_ANGLE_DEG:
@@ -251,7 +248,6 @@ def refine_mesh(mesh):
         triangles=np.asarray(tris, dtype=np.int32),
         interface_edges=np.asarray(iface, dtype=np.int32),
         outer_edges=np.asarray(outer, dtype=np.int32),
-        meta={**mesh.meta, "refined": mesh.meta.get("refined", 0) + 1},
     )
 
 
@@ -268,7 +264,6 @@ class AssembledPencil:
     K: sp.csr_matrix
     M: sp.csr_matrix
     T: sp.csr_matrix
-    meta: dict
 
     @property
     def n_full(self):
@@ -330,7 +325,7 @@ def assemble(field, mesh):
         K = (K + sp.coo_matrix((kv, (kr, kc)), shape=(n, n)).tocsr()).tocsr()
 
     T = _constraint_map(field, mesh)
-    return AssembledPencil(K, M, T, {"n_vertices": n})
+    return AssembledPencil(K, M, T)
 
 
 def _constraint_map(rc, mesh):

@@ -234,12 +234,13 @@ def is_degenerate(prob):
     )
 
 
-def negative_spectrum(prob, k_max=None, tol=1e-12):
+def negative_spectrum(prob, k_max=None):
     """All negative eigenvalues lambda = -k^2 with k <= k_max.
 
     Each positive root s of the secular quadratic gives one eigenvalue;
-    its k solves k tanh(kd) = s and is bisected inside [s, s + 1/d] to
-    |Delta k| <= tol.  k_max is an optional window: only roots with
+    its k solves k tanh(kd) = s and is bisected inside [s, s + 1/d] until
+    the bracket ends are adjacent floats, so a shallow state keeps its
+    relative accuracy.  k_max is an optional window: only roots with
     k <= k_max are reported.  It defaults to the largest s plus 1/d,
     which holds every root.  The residuals |F(k)| of the characteristic
     check the reduction independently.
@@ -252,7 +253,7 @@ def negative_spectrum(prob, k_max=None, tol=1e-12):
         k_max = (roots[0] if roots else 0.0) + 1.0 / d
     ks = []
     for s in roots:
-        k = core.bisect(lambda k: k * math.tanh(k * d) - s, s, s + 1.0 / d, tol)
+        k = core.bisect(lambda k: k * math.tanh(k * d) - s, s, s + 1.0 / d, 0.0)
         if k <= k_max:
             if k * k == math.inf:
                 raise ValidationError(f"eigenvalue -k^2 overflows at k={k}")
@@ -270,6 +271,6 @@ def negative_spectrum(prob, k_max=None, tol=1e-12):
     return IntervalSpectrum(eigenvalues, ks, min(0.0, m_d), diagnostics)
 
 
-def m_interval(prob, **kwargs):
+def m_interval(prob):
     """min(0, lowest negative eigenvalue) on the interval (-d, d)."""
-    return negative_spectrum(prob, **kwargs).m_interval
+    return negative_spectrum(prob).m_interval

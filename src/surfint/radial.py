@@ -80,8 +80,6 @@ class RadialSpectrum:
     """Negative eigenvalues of one angular mode (no multiplicity applied)."""
 
     eigenvalues: tuple
-    mode: int
-    grid: dict
 
 
 def sphere_swave_matching(alpha_tilde, R):
@@ -190,18 +188,7 @@ def radial_fd_spectrum(geom, field, n_grid):
     # Gershgorin bound, moved off it: stebz searches the half-open (lo, hi]
     lo = float(np.min(d - np.append(e, 0.0) - np.insert(e, 0, 0.0))) - 1.0
     neg = eigvalsh_tridiagonal(d, e, select="v", select_range=(lo, -NEG_TOL), tol=STURM_TOL)
-    return RadialSpectrum(
-        tuple(float(x) for x in neg),
-        geom.mode,
-        {
-            "n_grid": int(n_grid),
-            "h_inner": geom.R / n_grid,
-            "h_outer": (geom.R_out - geom.R) / n_grid,
-            "outer_bc": geom.outer_bc,
-            "dimension": geom.dimension,
-            "size": int(len(d)),
-        },
-    )
+    return RadialSpectrum(tuple(float(x) for x in neg))
 
 
 def radial_mode_eigenvalues(geom, field, n_grid, count):

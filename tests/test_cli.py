@@ -11,7 +11,7 @@ import sys
 import jsonschema
 import pytest
 
-from surfint import cli, radial
+from surfint import cli, core, radial
 from surfint.errors import ParseError, ValidationError
 
 
@@ -139,8 +139,8 @@ PROBLEM_CASES = [
          "geometry.d must be > 0, got 0",
          "unknown key solver.grid",
          "unknown key solver.method",
+         "unknown key solver.tol",
          "solver.k_max must be a finite number",
-         "solver.tol must be > 0, got -1.5",
          "unknown key output.fmt",
          "output.dir must be a string"],
         id="interval-every-block"),
@@ -171,6 +171,7 @@ PROBLEM_CASES = [
          "coupling.beta must be a finite number",
          "geometry.d must be > 0, got -2",
          "unknown key solver.grid",
+         "unknown key solver.tol",
          "solver.k_max must be > 0, got 0.0"],
         id="interval-nonfinite"),
     pytest.param(
@@ -304,6 +305,23 @@ PROBLEM_CASES = [
         ValidationError,
         ["unknown key geometry.kind", "sweep.parameter 'R' needs circle or sphere geometry"],
         id="sweep-interval-with-R"),
+    pytest.param(
+        {"task": "sweep", "coupling": COUPLING, "geometry": {"d": 2.0},
+         "sweep": {"parameter": "alpha", "start": 0.5, "stop": 1.0, "steps": 3},
+         "solver": {"backend": "grid", "n_grid": 512, "outer_bc": "dirichlet", "eigen_count": 2}},
+        ValidationError,
+        ["solver.n_grid needs circle or sphere geometry",
+         "solver.outer_bc needs circle or sphere geometry",
+         "solver.backend 'grid' needs circle or sphere geometry"],
+        id="sweep-interval-radial-solver-keys"),
+    pytest.param(
+        {"task": "sweep", "coupling": COUPLING, "geometry": {"d": 2.0},
+         "sweep": {"parameter": "R", "start": 0.5, "stop": 1.0, "steps": 3},
+         "solver": {"n_grid": 0, "backend": "exact"}},
+        ValidationError,
+        ["solver.n_grid must be a positive integer",
+         "sweep.parameter 'R' needs circle or sphere geometry"],
+        id="sweep-interval-bad-n-grid"),
     pytest.param(
         {"task": "sweep", "coupling": COUPLING,
          "geometry": {"kind": "sphere", "R": 1.0, "R_out": 0.5},
@@ -803,6 +821,73 @@ def test_sweep_exact_backend_refuses_mismatch(tmp_path):
     assert code == 2
     err = json.loads((out / "error.json").read_text())
     assert "backend" in err["detail"]
+
+
+def sweep_points(tmp_path, doc, out):
+    code, out_dir = run_cli(tmp_path, "sweep", doc, out=out)
+    assert code == 0
+    return json.loads((out_dir / "report.json").read_text())["results"]["points"]
+
+
+def task_results(tmp_path, task, doc, out):
+    code, out_dir = run_cli(tmp_path, task, dict(doc, task=task), out=out)
+    assert code == 0
+    return json.loads((out_dir / "report.json").read_text())["results"]
+
+
+# every sweep point is the single-point solve of the same parameters
+def test_interval_sweep_point_is_the_interval_task(tmp_path):
+    coupling = {"alpha": 1.0, "beta": 1.5, "gamma": [0.25, -0.5]}
+    doc = {"task": "sweep", "coupling": coupling, "geometry": {"d": 3.0},
+           "sweep": {"parameter": "alpha", "start": -0.5, "stop": 2.5, "steps": 4}}
+    for i, point in enumerate(sweep_points(tmp_path, doc, "sweep")):
+        single = task_results(tmp_path, "interval", {
+            "coupling": dict(coupling, alpha=point["value"]), "geometry": {"d": 3.0}}, f"p{i}")
+        assert point["eigenvalues"] == single["eigenvalues"]
+        assert point["N"] == single["N"]
+        assert point["m_A"] == single["m_infinity"]
+
+
+def test_sphere_grid_sweep_point_is_the_sphere_task(tmp_path):
+    coupling = {"alpha": 1.5, "beta": 1.0, "gamma": [0.5, 0.0]}
+    geometry = {"kind": "sphere", "R": 1.0, "R_out": 5.0}
+    solver = {"n_grid": 128, "outer_bc": "dirichlet"}
+    doc = {"task": "sweep", "coupling": coupling, "geometry": geometry,
+           "sweep": {"parameter": "R", "start": 0.8, "stop": 1.6, "steps": 3},
+           "solver": dict(solver, eigen_count=20)}
+    for i, point in enumerate(sweep_points(tmp_path, doc, "sweep")):
+        single = task_results(tmp_path, "sphere", {
+            "coupling": coupling, "geometry": {"R": point["value"], "R_out": 5.0},
+            "solver": solver}, f"p{i}")
+        assert 1 <= point["N"] == single["N"] <= 20
+        assert point["eigenvalues"] == single["eigenvalues"]
+        assert point["m_A"] == single["m_infinity"]
+
+
+def test_circle_grid_sweep_point_is_the_mode_sum(tmp_path):
+    doc = {"task": "sweep", "coupling": {"alpha": 0.0, "beta": 2.0, "gamma": [0.0, 0.5]},
+           "geometry": {"kind": "circle", "R": 1.0},
+           "sweep": {"parameter": "beta", "start": 1.0, "stop": 3.0, "steps": 3},
+           "solver": {"n_grid": 128, "eigen_count": 2}}
+    for point in sweep_points(tmp_path, doc, "sweep"):
+        beta = point["value"]
+        rep = radial.assemble_mode_sum(radial.RadialGeometry(2, 1.0, 8.0),
+                                       core.uniform_field(0.0, beta, 0.5j), None, 128)
+        assert point["eigenvalues"] == list(rep.eigenvalues[:2])
+        assert point["N"] == rep.N
+        assert point["m_A"] == core.m_infinity(0.0, beta, 0.5j)
+
+
+def test_exact_sphere_sweep_point_is_the_delta_spectrum(tmp_path):
+    doc = {"task": "sweep", "coupling": {"alpha": 4.4, "beta": 0.0, "gamma": [0.0, 0.0]},
+           "geometry": {"kind": "sphere", "R": 1.0},
+           "sweep": {"parameter": "R", "start": 0.5, "stop": 1.5, "steps": 5},
+           "solver": {"eigen_count": 5}}
+    for point in sweep_points(tmp_path, doc, "sweep"):
+        N, lams = radial.sphere_delta_spectrum(4.4, point["value"], 5)
+        assert point["eigenvalues"] == lams
+        assert point["N"] == N
+        assert point["m_A"] == core.m_infinity(4.4, 0.0, 0.0)
 
 
 def test_m_infinity_report(tmp_path):

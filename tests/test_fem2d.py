@@ -104,7 +104,6 @@ def test_min_angle_flags_slivers():
         triangles=tris,
         interface_edges=mesh.interface_edges,
         outer_edges=mesh.outer_edges,
-        meta={},
     )
     assert fem2d.min_angle_degrees(bad) < fem2d.MIN_ANGLE_DEG
 

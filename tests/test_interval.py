@@ -8,6 +8,7 @@ independently of the solver under test.
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -287,6 +288,18 @@ def test_root_where_tanh_rounds_to_one():
     assert sp.ks == (1.0,)
     assert sp.eigenvalues == (-1.0,)
     assert sp.diagnostics["residuals"][0] < 1e-15
+
+
+@pytest.mark.parametrize("alpha", [1e-6, 1e-12, 1e-20, 1e-30])
+def test_shallow_state_keeps_relative_accuracy(alpha):
+    # (alpha, 0, 0) on d = 1 binds at k tanh(k) = alpha / 2, so lambda is
+    # about -alpha / 2: an absolute stopping rule on k would lose it
+    lam = si.negative_spectrum(prob(alpha, 0.0, 0.0, 1.0)).eigenvalues[0]
+    with mpmath.workdps(60):
+        s = mpmath.mpf(alpha) / 2
+        k = mpmath.findroot(lambda k: k * mpmath.tanh(k) - s, mpmath.sqrt(s))
+        ref = -k * k
+        assert abs((lam - ref) / ref) <= 1e-15
 
 
 def test_k_max_is_a_window():
