@@ -488,8 +488,7 @@ def _run_compare(cfg, verbose):
 
 
 def _run_certify(cfg, verbose):
-    a, b, g = cfg.coupling
-    rep = harness.bound_state_certificate(core.uniform_field(a, b, g), dict(cfg.geometry))
+    rep = harness.bound_state_certificate(core.uniform_field(*cfg.coupling), dict(cfg.geometry))
     return TaskOutcome(rep, verdict=bool(rep["ok"]))
 
 
@@ -516,7 +515,7 @@ def _run_sweep(cfg, verbose):
 
     rows = []
     for value in (float(v) for v in np.linspace(start, stop, steps)):
-        at = {"alpha": a0, "beta": b0, **cfg.geometry, param: value}
+        at = {"alpha": a0, "beta": b0, **cfg.geometry, param: value}  # this point's parameters
         a, b = at["alpha"], at["beta"]
         if backend_used == "interval-exact":
             lams = interval.negative_spectrum(
