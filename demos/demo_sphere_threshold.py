@@ -26,7 +26,7 @@ print("\nmode-resolved counts from a Dirichlet-box finite-difference sweep:")
 geom = radial.RadialGeometry(dimension=3, R=1.0, R_out=30.0, outer_bc="dirichlet", mode=0)
 for alpha_tilde in (0.9, 1.5, 2.9, 4.2):
     field = core.delta_field(alpha_tilde)
-    report = radial.assemble_mode_sum(geom, field, modes=None, n_grid=1024)
+    report = radial.assemble_mode_sum(geom, field, n_grid=1024)
     per_mode = report.convergence["per_mode"]
     print(f"  alpha_tilde = {alpha_tilde}: N = {report.N}, per-mode counts {per_mode}")
 

@@ -29,7 +29,6 @@ from .core import (
     m_infinity,
     theta_matrix,
     uniform_field,
-    validate_coupling,
 )
 from .interval import (
     IntervalProblem,
@@ -58,7 +57,6 @@ __all__ = [
     "m_infinity",
     "theta_matrix",
     "uniform_field",
-    "validate_coupling",
     "IntervalProblem",
     "IntervalSpectrum",
     "characteristic_ghj",

@@ -22,7 +22,7 @@ gamma*) and every task takes output (dir):
                    is an optional window on k
                    geometry* d*;  solver: k_max
     sphere         radial FD mode sum on the 3-D sphere interface
-                   geometry* R*, R_out;  solver: n_grid, modes, outer_bc
+                   geometry* R*, R_out;  solver: n_grid, outer_bc
     circle-fem     2-D interface FEM with an (h, R_out) refinement ladder
                    geometry* R*, R_out, h;  solver: eigen_count
     radial-oracle  closed-form s-wave matching for the delta sphere
@@ -32,7 +32,10 @@ gamma*) and every task takes output (dir):
     compare        eigenvalue-ordering suite (built-in 20 cases or custom)
                    compare: cases, a list of {case_id*, alpha*, beta*,
                    gamma*, reference*, geometry*, params, k_count};
-                   params holds only the keys of harness.PARAMS
+                   params holds only the keys of harness.PARAMS:
+                   interval d (8); circle-fem R (1), R_out (3),
+                   h (0.3); sphere-radial R (1), R_out (12),
+                   n_grid (256), mode_max (2)
     certify        bound-state existence/nonexistence certificates
                    geometry* kind*, R*, R_out, n_grid
     sweep          one coupling/geometry parameter swept over a range;
@@ -122,13 +125,6 @@ def _boolean(v):
     return (v, None) if isinstance(v, bool) else (None, "must be a boolean")
 
 
-def _modes(v):
-    ok = isinstance(v, list) and v and all(
-        isinstance(m, int) and not isinstance(m, bool) and m >= 0 for m in v)
-    ok = ok and len(set(v)) == len(v)  # a repeated mode would be merged twice
-    return (list(v), None) if ok else (None, "must be a nonempty list of distinct mode indices >= 0")
-
-
 def _numbers(v):
     ok = isinstance(v, dict) and all(_is_num(x) for x in v.values())
     return (dict(v), None) if ok else (None, "must be an object of numbers")
@@ -178,7 +174,7 @@ TASKS = {
     "sphere": {
         "coupling": _COUPLING,
         "geometry": _RADII,
-        "solver": {"n_grid": _N_GRID, "modes": (_modes, False), "outer_bc": _OUTER_BC},
+        "solver": {"n_grid": _N_GRID, "outer_bc": _OUTER_BC},
     },
     "circle-fem": {
         "coupling": _COUPLING,
@@ -402,7 +398,7 @@ def _mode_sum(cfg, dimension, coupling, R, n_grid):
         mode=0,
     )
     return radial.assemble_mode_sum(geom, core.uniform_field(*coupling),
-                                    cfg.solver.get("modes"), cfg.solver.get("n_grid", n_grid))
+                                    cfg.solver.get("n_grid", n_grid))
 
 
 def _run_sphere(cfg, verbose):

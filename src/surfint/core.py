@@ -45,7 +45,11 @@ class RegionCoupling:
     alpha: float
     beta: float
     gamma: complex
-    kind: str
+
+    @property
+    def kind(self):
+        """CONSTRAINED when beta == 0, FREE otherwise."""
+        return CONSTRAINED if self.beta == 0.0 else FREE
 
     def constraint_coefficients(self):
         """Coefficients (c_i, c_e) of the trace constraint of a constrained
@@ -70,30 +74,24 @@ def _real_pair(alpha, beta):
     return float(complex(alpha).real), float(complex(beta).real)
 
 
-def validate_coupling(alpha, beta, gamma):
+def uniform_field(alpha, beta, gamma):
     """Validate coupling data and return its :class:`RegionCoupling`.
 
-    The kind is taken from beta: constrained when beta == 0, free
-    otherwise.  Raises NonRealAlpha when alpha is complex and a
-    ValidationError when only beta is; both list every problem.
+    Raises NonRealAlpha when alpha is complex and a ValidationError when
+    only beta is; both list every problem.
     """
     a, b = _real_pair(alpha, beta)
-    return RegionCoupling(a, b, complex(gamma), CONSTRAINED if b == 0.0 else FREE)
+    return RegionCoupling(a, b, complex(gamma))
 
 
 def delta_field(alpha_tilde):
     """Coupling of a pure delta interaction of strength alpha_tilde."""
-    return validate_coupling(float(alpha_tilde), 0.0, 0.0)
+    return uniform_field(float(alpha_tilde), 0.0, 0.0)
 
 
 def delta_prime_field(beta_tilde):
     """Coupling of a pure delta' interaction of strength beta_tilde."""
-    return validate_coupling(0.0, float(beta_tilde), 0.0)
-
-
-def uniform_field(alpha, beta, gamma):
-    """The full four-parameter coupling."""
-    return validate_coupling(alpha, beta, gamma)
+    return uniform_field(0.0, float(beta_tilde), 0.0)
 
 
 @dataclass(frozen=True)

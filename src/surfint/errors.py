@@ -42,10 +42,6 @@ class NegativeDiscriminant(SurfintError):
     """
 
 
-class SingularInterfaceStencil(SurfintError):
-    """The 2x2 elimination system for interface derivatives is singular."""
-
-
 class MeshQualityFailure(SurfintError):
     """Generated mesh violates the minimum-angle bound."""
 

@@ -19,6 +19,9 @@ min-max index):
                      needs alpha <= 4/ref_strength; here delta-prime of
                      strength ref_strength sits BELOW the A-operator.
 
+FAMILIES states each family once: check_hypothesis, the compared sides
+and essential_bound_check's matched strengths all read it.
+
 Geometries: "interval" uses the exact 1-D two-point solver (the same
 form inequalities hold verbatim on the Neumann interval, reported as the
 1-D analogue), "circle-fem" assembles both couplings on one shared mesh,
@@ -35,6 +38,7 @@ cross-check them against numerically certified eigenvalue counts.
 from __future__ import annotations
 
 import numbers
+from collections.abc import Callable
 from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
@@ -42,27 +46,72 @@ import numpy as np
 from . import core, fem2d, interval, radial
 from .errors import CaseInapplicable, GeometryUnavailable, ValidationError
 
-CASE_IDS = (
-    "alpha_direct",
-    "beta_reciprocal",
-    "beta_gamma",
-    "alpha_gamma",
-    "deltaprime_lower",
-)
-# the params keys each geometry reads
-PARAMS = {
-    "interval": ("d",),
-    "circle-fem": ("R", "R_out", "h"),
-    "sphere-radial": ("R", "R_out", "n_grid", "mode_max"),
-}
-
-TOLERANCES = {"interval": 1e-10, "circle-fem": 1e-8, "sphere-radial": 1e-8}
 
 def _mod2(z):
     """|z|^2 via components (no square root, exact at rational points)."""
     zc = complex(z)
     return zc.real * zc.real + zc.imag * zc.imag
 
+
+# Conditions on the coupling: (message when it fails, holds(alpha, beta, gamma)).
+_GAMMA_ZERO = ("gamma must be 0 for the diagonal coupling", lambda a, b, g: g == 0)
+_GAMMA_IMAGINARY = ("gamma not purely imaginary", lambda a, b, g: g.real == 0)
+_ALPHA_ZERO = ("alpha must be 0, got {a}", lambda a, b, g: a == 0)
+_ALPHA_NONNEGATIVE = ("alpha must be >= 0, got {a}", lambda a, b, g: a >= 0)
+_BETA_ZERO = ("beta must be 0, got {b}", lambda a, b, g: b == 0)
+_BETA_POSITIVE = ("beta must be > 0, got {b}", lambda a, b, g: b > 0)
+
+
+@dataclass(frozen=True)
+class Family:
+    """One comparison theorem: a coupling whose shape conditions all hold
+    lies below the delta reference of strength at most
+    bound(alpha, beta, gamma), stated as "reference <= bound_text".
+
+    deltaprime_lower has no bound: its hypothesis is alpha <= 4/reference
+    with a nonzero reference, and its delta-prime reference lies below.
+    """
+
+    shape: tuple
+    bound_text: str | None
+    bound: Callable[[float, float, complex], float] | None
+
+
+FAMILIES = {
+    "alpha_direct": Family((_GAMMA_ZERO, _ALPHA_NONNEGATIVE, _BETA_POSITIVE),
+                           "alpha", lambda a, b, g: a),
+    "beta_reciprocal": Family((_GAMMA_ZERO, _ALPHA_NONNEGATIVE, _BETA_POSITIVE),
+                              "4/beta", lambda a, b, g: 4.0 / b),
+    "beta_gamma": Family((_ALPHA_ZERO, _BETA_POSITIVE, _GAMMA_IMAGINARY),
+                         "(4+|gamma|^2)/beta", lambda a, b, g: (4.0 + _mod2(g)) / b),
+    "alpha_gamma": Family((_BETA_ZERO, _ALPHA_NONNEGATIVE, _GAMMA_IMAGINARY),
+                          "alpha/|1+gamma/2|^2", lambda a, b, g: a / _mod2(1.0 + g / 2.0)),
+    "deltaprime_lower": Family((_BETA_ZERO, _ALPHA_NONNEGATIVE), None, None),
+}
+CASE_IDS = tuple(FAMILIES)
+# each geometry's params keys, with their defaults
+PARAMS = {
+    "interval": {"d": 8.0},
+    "circle-fem": {"R": 1.0, "R_out": 3.0, "h": 0.3},
+    "sphere-radial": {"R": 1.0, "R_out": 12.0, "n_grid": 256, "mode_max": 2},
+}
+
+TOLERANCES = {"interval": 1e-10, "circle-fem": 1e-8, "sphere-radial": 1e-8}
+
+# The matched-strength shapes of essential_bound_check: (name, the family
+# whose shape it takes and whose bound is alpha_tilde, further conditions).
+# alpha > 0 keeps (0, 0, iy), whose alpha_tilde is 0, out.
+_MATCHED_SHAPES = (
+    ("diag_saturation", "beta_reciprocal", ()),
+    ("beta_imaginary_gamma", "beta_gamma", ()),
+    ("alpha_imaginary_gamma", "alpha_gamma",
+     (("alpha must be > 0, got {a}", lambda a, b, g: a > 0),)),
+)
+
+
+def _failed(conditions, a, b, g):
+    """The messages of the conditions that do not hold at (a, b, g)."""
+    return [message.format(a=a, b=b) for message, holds in conditions if not holds(a, b, g)]
 
 
 @dataclass(frozen=True)
@@ -84,14 +133,6 @@ class ComparisonCase:
     params: dict = dataclass_field(default_factory=dict)
     k_count: int = 3
 
-    def left_coupling(self):
-        return (self.alpha, self.beta, self.gamma)
-
-    def reference_coupling(self):
-        if self.case_id == "deltaprime_lower":
-            return (0.0, self.reference, 0.0)
-        return (self.reference, 0.0, 0.0)
-
 
 def _is_int(v):
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
@@ -100,13 +141,15 @@ def _is_int(v):
 def check_hypothesis(case):
     """Scalar hypothesis check; returns (ok, list of failed conditions).
 
-    The params of the case are checked too: only the keys its geometry
-    reads, an integer n_grid and an integer mode_max >= 0.
+    Every failed shape condition of the family is reported; its bound is
+    checked only once the shape holds.  The params of the case are
+    checked too: only the keys its geometry reads, an integer n_grid and
+    an integer mode_max >= 0.
     """
     a, b, g = case.alpha, case.beta, complex(case.gamma)
     r = case.reference
     fails = []
-    if case.case_id not in CASE_IDS:
+    if case.case_id not in FAMILIES:
         fails.append(f"unknown case_id {case.case_id!r}")
         return False, fails
     if case.geometry not in PARAMS:
@@ -122,45 +165,17 @@ def check_hypothesis(case):
     if case.k_count < 1:
         fails.append("k_count must be >= 1")
 
-    if case.case_id in ("alpha_direct", "beta_reciprocal"):
-        if g != 0:
-            fails.append("gamma must be 0 for the diagonal coupling")
-        if a < 0:
-            fails.append(f"alpha must be >= 0, got {a}")
-        if b <= 0:
-            fails.append(f"beta must be > 0, got {b}")
-        if case.case_id == "alpha_direct" and r > a:
-            fails.append(f"needs reference <= alpha: {r} > {a}")
-        if case.case_id == "beta_reciprocal" and b > 0 and r > 4.0 / b:
-            fails.append(f"needs reference <= 4/beta: {r} > {4.0 / b}")
-    elif case.case_id == "beta_gamma":
-        if a != 0:
-            fails.append(f"alpha must be 0, got {a}")
-        if b <= 0:
-            fails.append(f"beta must be > 0, got {b}")
-        if g.real != 0:
-            fails.append("gamma not purely imaginary")
-        if b > 0 and r > (4.0 + _mod2(g)) / b:
-            fails.append(f"needs reference <= (4+|gamma|^2)/beta: {r} > {(4.0 + _mod2(g)) / b}")
-    elif case.case_id == "alpha_gamma":
-        if b != 0:
-            fails.append(f"beta must be 0, got {b}")
-        if a < 0:
-            fails.append(f"alpha must be >= 0, got {a}")
-        if g.real != 0:
-            fails.append("gamma not purely imaginary")
-        lim = a / _mod2(1.0 + g / 2.0)
-        if r > lim:
-            fails.append(f"needs reference <= alpha/|1+gamma/2|^2: {r} > {lim}")
+    family = FAMILIES[case.case_id]
+    shape_fails = _failed(family.shape, a, b, g)
+    if shape_fails:
+        fails += shape_fails
     elif case.case_id == "deltaprime_lower":
-        if b != 0:
-            fails.append(f"beta must be 0, got {b}")
-        if a < 0:
-            fails.append(f"alpha must be >= 0, got {a}")
         if r == 0:
             fails.append("delta-prime reference strength must be nonzero")
         elif a > 4.0 / r:
             fails.append(f"needs alpha <= 4/reference: {a} > {4.0 / r}")
+    elif r > (lim := family.bound(a, b, g)):
+        fails.append(f"needs reference <= {family.bound_text}: {r} > {lim}")
     return not fails, fails
 
 
@@ -223,19 +238,24 @@ def _radial_merged_eigenvalues(coupling, params, k):
     """Lowest k eigenvalues of modes 0..mode_max, with multiplicity, in a
     Neumann box (the RadialGeometry default)."""
     field = core.uniform_field(*coupling)
-    geom = radial.RadialGeometry(
-        dimension=3,
-        R=params.get("R", 1.0),
-        R_out=params.get("R_out", 12.0),
-    )
-    n_grid = params.get("n_grid", 256)
-    mode_max = params.get("mode_max", 2)
+    geom = radial.RadialGeometry(dimension=3, R=params["R"], R_out=params["R_out"])
     merged = []
-    for mode in range(mode_max + 1):
-        lam = radial.radial_mode_eigenvalues(replace(geom, mode=mode), field, n_grid, count=k)
+    for mode in range(params["mode_max"] + 1):
+        lam = radial.radial_mode_eigenvalues(replace(geom, mode=mode), field,
+                                             params["n_grid"], count=k)
         merged.extend(float(v) for v in lam for _ in range(2 * mode + 1))
     merged.sort()
     return merged[:k]
+
+
+def _sides(case):
+    """(lower, upper) couplings: the full coupling lies below its delta
+    reference, and for deltaprime_lower the delta-prime reference lies
+    below the full coupling."""
+    full = (case.alpha, case.beta, case.gamma)
+    if case.case_id == "deltaprime_lower":
+        return (0.0, case.reference, 0.0), full
+    return full, (case.reference, 0.0, 0.0)
 
 
 def compare_spectra(case):
@@ -248,18 +268,16 @@ def compare_spectra(case):
     ok, fails = check_hypothesis(case)
     if not ok:
         raise ValidationError(fails)
+    params = {**PARAMS[case.geometry], **case.params}
+    lower_c, upper_c = _sides(case)
     if case.geometry == "interval":
-        d = case.params.get("d", 8.0)
-        lower_c, upper_c = _sides(case)
+        d = params["d"]
         lower, pad_lo = _interval_eigenvalues(lower_c, d, case.k_count)
         upper, pad_up = _interval_eigenvalues(upper_c, d, case.k_count)
         diag = {"geometry": "interval", "d": d, "padded": [pad_lo, pad_up]}
     elif case.geometry == "circle-fem":
-        R = case.params.get("R", 1.0)
-        R_out = case.params.get("R_out", 3.0)
-        h = case.params.get("h", 0.3)
+        R, R_out, h = params["R"], params["R_out"], params["h"]
         mesh = fem2d.build_mesh(R, R_out, h)
-        lower_c, upper_c = _sides(case)
         lower = _fem_eigenvalues(lower_c, mesh, case.k_count)
         upper = _fem_eigenvalues(upper_c, mesh, case.k_count)
         diag = {
@@ -271,9 +289,9 @@ def compare_spectra(case):
             "shared_mesh": True,
         }
     else:  # sphere-radial: check_hypothesis has refused every other geometry
-        lower_c, upper_c = _sides(case)
-        lower = _radial_merged_eigenvalues(lower_c, case.params, case.k_count)
-        upper = _radial_merged_eigenvalues(upper_c, case.params, case.k_count)
+        lower = _radial_merged_eigenvalues(lower_c, params, case.k_count)
+        upper = _radial_merged_eigenvalues(upper_c, params, case.k_count)
+        # only the params the case gave
         diag = {"geometry": "sphere-radial", "shared_grid": True, **case.params}
 
     pairs = tuple(zip(lower, upper))
@@ -289,12 +307,6 @@ def compare_spectra(case):
         tolerance=tol,
         diagnostics=diag,
     )
-
-
-def _sides(case):
-    if case.case_id == "deltaprime_lower":
-        return case.reference_coupling(), case.left_coupling()
-    return case.left_coupling(), case.reference_coupling()
 
 
 def build_comparison_suite():
@@ -428,7 +440,7 @@ def bound_state_certificate(rc, geometry):
         }
 
     geom = radial.RadialGeometry(dimension=dim, R=R, R_out=R_out, outer_bc="dirichlet", mode=0)
-    n_dirichlet = int(radial.assemble_mode_sum(geom, rc, None, n_grid).N)
+    n_dirichlet = int(radial.assemble_mode_sum(geom, rc, n_grid).N)
 
     ok = True
     for name, entry in criteria.items():
@@ -479,46 +491,24 @@ def essential_bound_check(alpha, beta, gamma, verify_interval=True):
     g = complex(gamma)
     m_A = core.m_infinity(alpha, beta, gamma)
     cases = []
-    if g == 0 and beta > 0:
-        at = 4.0 / beta
+    for name, family_id, extra in _MATCHED_SHAPES:
+        family = FAMILIES[family_id]
+        if _failed(family.shape + extra, alpha, beta, g):
+            continue
+        at = family.bound(alpha, beta, g)
         pinched = -(at * at) / 4.0
-        holds = abs(m_A - pinched) <= 1e-12 * max(1.0, abs(m_A))
-        cases.append(
-            {
-                "case": "diag_saturation",
-                "alpha_tilde": at,
-                "pinched": pinched,
-                "m_A": m_A,
-                "identity_holds": bool(holds),
-                "validity_condition": "alpha * beta <= 4",
-                "condition_met": bool(alpha * beta <= 4.0),
-                "boundary_equality_admitted": True,
-            }
-        )
-    if alpha == 0 and beta > 0 and g.real == 0:
-        at = (4.0 + _mod2(g)) / beta
-        pinched = -(at * at) / 4.0
-        cases.append(
-            {
-                "case": "beta_imaginary_gamma",
-                "alpha_tilde": at,
-                "pinched": pinched,
-                "m_A": m_A,
-                "identity_holds": bool(abs(m_A - pinched) <= 1e-12 * max(1.0, abs(m_A))),
-            }
-        )
-    if beta == 0 and alpha > 0 and g.real == 0:
-        at = alpha / _mod2(1.0 + g / 2.0)
-        pinched = -(at * at) / 4.0
-        cases.append(
-            {
-                "case": "alpha_imaginary_gamma",
-                "alpha_tilde": at,
-                "pinched": pinched,
-                "m_A": m_A,
-                "identity_holds": bool(abs(m_A - pinched) <= 1e-12 * max(1.0, abs(m_A))),
-            }
-        )
+        case = {
+            "case": name,
+            "alpha_tilde": at,
+            "pinched": pinched,
+            "m_A": m_A,
+            "identity_holds": bool(abs(m_A - pinched) <= 1e-12 * max(1.0, abs(m_A))),
+        }
+        if name == "diag_saturation":
+            case.update(validity_condition="alpha * beta <= 4",
+                        condition_met=bool(alpha * beta <= 4.0),
+                        boundary_equality_admitted=True)
+        cases.append(case)
     if not cases:
         raise CaseInapplicable(
             "no matched-strength case fits "

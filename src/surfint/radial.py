@@ -36,11 +36,7 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
 from . import core
-from .errors import (
-    ConvergenceFailure,
-    SingularInterfaceStencil,
-    ValidationError,
-)
+from .errors import ConvergenceFailure, ValidationError
 from .report import SpectrumReport
 
 OUTER_BCS = ("neumann", "dirichlet")
@@ -207,11 +203,6 @@ def _mode_tridiagonal(geom, rc, n_grid):
     """Real symmetric tridiagonal (diag, offdiag) with the mode's spectrum."""
     if n_grid < 64:
         raise ValidationError(f"n_grid must be at least 64, got {n_grid}")
-    if rc.kind == core.FREE and rc.beta == 0.0:
-        raise SingularInterfaceStencil(
-            "free-trace interface with beta == 0: the derivative elimination "
-            "system is singular"
-        )
     diag, off, weights = _assemble_radial(geom, rc, n_grid)
     s = 1.0 / np.sqrt(weights)
     return diag * s * s, np.abs(off) * s[:-1] * s[1:]
@@ -337,36 +328,26 @@ def richardson(values, order=2, ratio=2.0):
     return best, abs(best - prev_best)
 
 
-def assemble_mode_sum(geom, field, modes, n_grid):
+def assemble_mode_sum(geom, field, n_grid):
     """Merge per-mode negative spectra with angular multiplicities.
 
     Multiplicity: 1 for the axisymmetric mode, 2 per mode m >= 1 in 2-D,
-    2l + 1 in 3-D.  ``modes`` may be an explicit iterable or None, in
-    which case modes are swept upward until the first one with no
+    2l + 1 in 3-D.  Modes are swept upward until the first one with no
     negative eigenvalue (the centrifugal term is monotone in the mode, so
     higher modes are then empty too).
     """
     per_mode = {}
     merged = []
-    if modes is None:
-        mode = 0
-        while True:
-            spec = radial_fd_spectrum(replace(geom, mode=mode), field, n_grid)
-            per_mode[mode] = spec.eigenvalues
-            if not spec.eigenvalues:
-                break
-            _merge(merged, spec.eigenvalues, mode, geom.dimension)
-            mode += 1
-            if mode > 256:
-                raise ConvergenceFailure("mode sweep did not terminate by mode 256")
-    else:
-        modes = [int(m) for m in modes]
-        if len(set(modes)) != len(modes):  # a repeated mode would be merged twice
-            raise ValidationError(f"modes must be distinct, got {modes}")
-        for mode in modes:
-            spec = radial_fd_spectrum(replace(geom, mode=mode), field, n_grid)
-            per_mode[mode] = spec.eigenvalues
-            _merge(merged, spec.eigenvalues, mode, geom.dimension)
+    mode = 0
+    while True:
+        spec = radial_fd_spectrum(replace(geom, mode=mode), field, n_grid)
+        per_mode[mode] = spec.eigenvalues
+        if not spec.eigenvalues:
+            break
+        _merge(merged, spec.eigenvalues, mode, geom.dimension)
+        mode += 1
+        if mode > 256:
+            raise ConvergenceFailure("mode sweep did not terminate by mode 256")
     merged.sort()
     return SpectrumReport(
         eigenvalues=tuple(merged),

@@ -182,8 +182,8 @@ PROBLEM_CASES = [
         ["unknown key geometry.h",
          "geometry.R must be > 0, got -1",
          "geometry.R_out must be a finite number",
+         "unknown key solver.modes",
          "solver.n_grid must be a positive integer",
-         "solver.modes must be a nonempty list of distinct mode indices >= 0",
          "solver.outer_bc must be 'neumann' or 'dirichlet', got 'open'"],
         id="sphere-rules"),
     pytest.param(
@@ -191,7 +191,7 @@ PROBLEM_CASES = [
          "solver": {"modes": [0, -1], "outer_bc": None}},
         ValidationError,
         ["geometry.R_out must exceed R, got 2.0 <= 2.0",
-         "solver.modes must be a nonempty list of distinct mode indices >= 0",
+         "unknown key solver.modes",
          "solver.outer_bc must be 'neumann' or 'dirichlet', got None"],
         id="sphere-radii-order"),
     pytest.param(
@@ -199,14 +199,14 @@ PROBLEM_CASES = [
          "solver": {"modes": 2, "n_grid": "512"}},
         ValidationError,
         ["missing required field geometry.R",
-         "solver.n_grid must be a positive integer",
-         "solver.modes must be a nonempty list of distinct mode indices >= 0"],
+         "unknown key solver.modes",
+         "solver.n_grid must be a positive integer"],
         id="sphere-modes-not-list"),
     pytest.param(
         {"task": "sphere", "coupling": COUPLING, "geometry": {"R": 1.0},
          "solver": {"modes": [0, 1, 0]}},
         ValidationError,
-        ["solver.modes must be a nonempty list of distinct mode indices >= 0"],
+        ["unknown key solver.modes"],
         id="sphere-modes-repeated"),
     pytest.param(
         {"task": "circle-fem", "coupling": COUPLING,
@@ -672,6 +672,21 @@ def test_compare_rejects_hypothesis_violation(tmp_path):
     assert "reference <= alpha" in err["detail"]
 
 
+def test_compare_checks_the_shape_before_the_bound(tmp_path):
+    # gamma = -2 is real, so the shape fails; the bound alpha/|1+gamma/2|^2
+    # would divide by zero and is not evaluated
+    doc = {"task": "compare",
+           "compare": {"cases": [{
+               "case_id": "alpha_gamma", "alpha": 1.0, "beta": 0.0,
+               "gamma": [-2.0, 0.0], "reference": 0.5, "geometry": "interval"}]}}
+    code, out = run_cli(tmp_path, "compare", doc)
+    assert code == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ValidationError"
+    assert err["detail"] == "gamma not purely imaginary"
+    assert not (out / "report.json").exists()
+
+
 @pytest.mark.parametrize("geometry, params, detail", [
     ("interval", {"dd": 2.0}, "unknown params key 'dd' for geometry 'interval'"),
     ("circle-fem", {"R": 1.0, "n_grid": 64}, "unknown params key 'n_grid' for geometry 'circle-fem'"),
@@ -872,7 +887,7 @@ def test_circle_grid_sweep_point_is_the_mode_sum(tmp_path):
     for point in sweep_points(tmp_path, doc, "sweep"):
         beta = point["value"]
         rep = radial.assemble_mode_sum(radial.RadialGeometry(2, 1.0, 8.0),
-                                       core.uniform_field(0.0, beta, 0.5j), None, 128)
+                                       core.uniform_field(0.0, beta, 0.5j), 128)
         assert point["eigenvalues"] == list(rep.eigenvalues[:2])
         assert point["N"] == rep.N
         assert point["m_A"] == core.m_infinity(0.0, beta, 0.5j)

@@ -103,25 +103,25 @@ def test_m_infinity_rejects_bad_domain():
 
 
 def test_validate_coupling_partition_inference():
-    assert si.validate_coupling(1.0, 2.0, 1j).kind == si.FREE
-    assert si.validate_coupling(1.0, 0.0, 1j).kind == si.CONSTRAINED
+    assert si.uniform_field(1.0, 2.0, 1j).kind == si.FREE
+    assert si.uniform_field(1.0, 0.0, 1j).kind == si.CONSTRAINED
 
 
 def test_validate_coupling_lists_every_problem():
     with pytest.raises(NonRealAlpha) as exc:
-        si.validate_coupling(1 + 2j, 1j, 0.0)
+        si.uniform_field(1 + 2j, 1j, 0.0)
     assert exc.value.problems == ["alpha must be real, got (1+2j)", "beta must be real, got 1j"]
     with pytest.raises(ValidationError) as exc:
-        si.validate_coupling(1.0, 2 + 1j, 0.0)
+        si.uniform_field(1.0, 2 + 1j, 0.0)
     assert type(exc.value) is ValidationError
     assert exc.value.problems == ["beta must be real, got (2+1j)"]
 
 
 def test_constraint_coefficients_cover_gamma_two():
     # gamma = 2 forces the inner trace to vanish; gamma = -2 the outer one
-    ci, ce = si.validate_coupling(0.0, 0.0, 2.0).constraint_coefficients()
+    ci, ce = si.uniform_field(0.0, 0.0, 2.0).constraint_coefficients()
     assert ci == 0.0 and ce == 2.0
-    ci, ce = si.validate_coupling(0.0, 0.0, -2.0).constraint_coefficients()
+    ci, ce = si.uniform_field(0.0, 0.0, -2.0).constraint_coefficients()
     assert ci == 2.0 and ce == 0.0
 
 
@@ -159,8 +159,8 @@ def test_theta_scaling_with_beta():
 
 
 def test_field_helpers():
-    assert si.delta_field(1.5) == si.RegionCoupling(1.5, 0.0, 0j, si.CONSTRAINED)
-    assert si.delta_prime_field(2.0) == si.RegionCoupling(0.0, 2.0, 0j, si.FREE)
+    assert si.delta_field(1.5) == si.RegionCoupling(1.5, 0.0, 0j)
+    assert si.delta_prime_field(2.0) == si.RegionCoupling(0.0, 2.0, 0j)
     assert si.uniform_field(1, 2, 1j).gamma == 1j
 
 

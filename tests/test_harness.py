@@ -75,6 +75,15 @@ def test_hypothesis_rejects_wrong_coupling_shape():
     assert not ok
 
 
+def test_hypothesis_reports_the_shape_and_skips_the_bound():
+    # gamma != 0 breaks the diagonal shape and reference 5 > alpha breaks
+    # the bound: only the shape failure is reported
+    ok, fails = harness.check_hypothesis(make_case("alpha_direct", 2.0, 1.0, 0.5j, 5.0))
+    assert not ok and fails == ["gamma must be 0 for the diagonal coupling"]
+    ok, fails = harness.check_hypothesis(make_case("deltaprime_lower", -1.0, 0.0, 0.0, 0.0))
+    assert fails == ["alpha must be >= 0, got -1.0"]
+
+
 def test_hypothesis_checks_case_params():
     ok, fails = harness.check_hypothesis(make_case("alpha_direct", 2.0, 1.0, 0.0, 1.0, dd=2.0))
     assert not ok and fails == ["unknown params key 'dd' for geometry 'interval'"]
@@ -300,6 +309,9 @@ def test_essential_bound_overlapping_cases_agree():
 def test_essential_bound_inapplicable_and_invalid():
     with pytest.raises(CaseInapplicable):
         harness.essential_bound_check(1.0, 1.0, 0.5 + 0.5j)
+    # (0, 0, iy) takes alpha_gamma's shape, but its matched strength would be 0
+    with pytest.raises(CaseInapplicable):
+        harness.essential_bound_check(0.0, 0.0, 1j)
     with pytest.raises(ValidationError):
         harness.essential_bound_check(-1.0, 1.0, 0.0)
 

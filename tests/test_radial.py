@@ -12,7 +12,7 @@ from scipy.special import iv, kv
 
 import surfint as si
 from surfint import radial
-from surfint.errors import ConvergenceFailure, SingularInterfaceStencil, ValidationError
+from surfint.errors import ConvergenceFailure, ValidationError
 
 
 def geom2(R=1.0, R_out=12.0, bc="neumann", mode=0):
@@ -109,7 +109,7 @@ def test_delta_sphere_spectrum_against_fd_ladders(xi):
         # a Dirichlet box at R_out = 20 lifts the shallowest state by < 1e-7
         ext, err_bar = fd_ladder(geom3(bc="dirichlet", mode=l), field, (256, 512, 1024))
         assert abs(ext - values[0]) <= err_bar + 1e-7
-    fd = radial.assemble_mode_sum(geom3(bc="dirichlet"), field, None, 256)
+    fd = radial.assemble_mode_sum(geom3(bc="dirichlet"), field, 256)
     assert fd.N == N
     # only the lowest ``count`` are returned, and the census is unchanged
     assert radial.sphere_delta_spectrum(xi, 1.0, 2) == (N, lams[:2])
@@ -211,27 +211,13 @@ def test_dirichlet_truncation_raises_eigenvalues():
 def test_mode_sum_multiplicities_and_sweep():
     # delta circle alpha=6: modes 0,1,2 bind, mode 3 is empty
     geom = radial.RadialGeometry(2, 1.0, 12.0, "dirichlet", 0)
-    rep = radial.assemble_mode_sum(geom, si.delta_field(6.0), None, 256)
+    rep = radial.assemble_mode_sum(geom, si.delta_field(6.0), 256)
     assert rep.N == 5  # 1 + 2 + 2
     per_mode = rep.convergence["per_mode"]
     assert [len(per_mode[m]) for m in ("0", "1", "2", "3")] == [1, 1, 1, 0]
     assert list(rep.eigenvalues) == sorted(rep.eigenvalues)
     # the two mode-1 copies are adjacent duplicates
     assert rep.eigenvalues[1] == rep.eigenvalues[2]
-
-
-def test_mode_sum_explicit_modes_in_3d():
-    geom = radial.RadialGeometry(3, 1.0, 10.0, "dirichlet", 0)
-    rep = radial.assemble_mode_sum(geom, si.delta_field(4.0), [0, 1], 128)
-    per_mode = rep.convergence["per_mode"]
-    # multiplicity 2l+1: one l=0 state plus triple l=1 states (if any)
-    assert rep.N == len(per_mode["0"]) + 3 * len(per_mode["1"])
-
-
-def test_mode_sum_rejects_repeated_modes():
-    geom = radial.RadialGeometry(3, 1.0, 10.0, "dirichlet", 0)
-    with pytest.raises(ValidationError, match="modes must be distinct"):
-        radial.assemble_mode_sum(geom, si.delta_field(4.4), [1, 1], 128)
 
 
 def test_richardson_on_synthetic_ladder():
@@ -262,12 +248,10 @@ def test_validation_errors():
         radial.radial_fd_spectrum(geom2(), si.delta_field(1.0), 32)
 
 
-def test_singular_stencil_guard():
-    # a free-kind coupling with beta == 0 cannot pass validate_coupling;
-    # the solver still refuses it if constructed by hand
-    bad = si.RegionCoupling(1.0, 0.0, 0.0, si.FREE)
-    with pytest.raises(SingularInterfaceStencil):
-        radial.radial_fd_spectrum(geom2(), bad, 128)
+def test_kind_follows_beta():
+    # the kind is derived from beta, so a free coupling with beta == 0,
+    # whose interface stencil would be singular, cannot be built
+    assert si.RegionCoupling(1.0, 0.0, 0.0).kind == si.CONSTRAINED
 
 
 # ------------------------------------------- selective solves vs full oracle
