@@ -78,7 +78,7 @@ from hashlib import sha256
 
 import numpy as np
 
-from . import core, fem2d, harness, interval, radial
+from . import core, harness, interval, radial
 from .errors import CaseInapplicable, ParseError, SurfintError, ValidationError
 from .report import _plain
 
@@ -413,6 +413,8 @@ def _run_sphere(cfg, verbose):
 
 
 def _run_circle_fem(cfg, verbose):
+    from . import fem2d  # imported here: no other task loads scipy.sparse
+
     a, b, g = cfg.coupling
     R = cfg.geometry["R"]
     rep = fem2d.negative_spectrum_fem(

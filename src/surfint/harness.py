@@ -43,7 +43,7 @@ from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
-from . import core, fem2d, interval, radial
+from . import core, interval, radial
 from .errors import CaseInapplicable, GeometryUnavailable, ValidationError
 
 
@@ -229,6 +229,8 @@ def _interval_eigenvalues(coupling, d, k):
 
 
 def _fem_eigenvalues(coupling, mesh, k):
+    from . import fem2d  # imported here: only circle-fem cases load scipy.sparse
+
     field = core.uniform_field(*coupling)
     pairs = fem2d.lowest_eigenpairs(fem2d.assemble(field, mesh), k)
     return [lam for lam, _ in pairs]
@@ -236,7 +238,8 @@ def _fem_eigenvalues(coupling, mesh, k):
 
 def _radial_merged_eigenvalues(coupling, params, k):
     """Lowest k eigenvalues of modes 0..mode_max, with multiplicity, in a
-    Neumann box (the RadialGeometry default)."""
+    Neumann box (the RadialGeometry default).  Raises ValidationError when
+    the modes hold fewer than k."""
     field = core.uniform_field(*coupling)
     geom = radial.RadialGeometry(dimension=3, R=params["R"], R_out=params["R_out"])
     merged = []
@@ -244,6 +247,10 @@ def _radial_merged_eigenvalues(coupling, params, k):
         lam = radial.radial_mode_eigenvalues(replace(geom, mode=mode), field,
                                              params["n_grid"], count=k)
         merged.extend(float(v) for v in lam for _ in range(2 * mode + 1))
+    if len(merged) < k:  # then every mode returned all its eigenvalues
+        raise ValidationError(
+            f"k_count {k} exceeds the {len(merged)} eigenvalues (with multiplicity) of "
+            f"modes 0..{params['mode_max']} at n_grid {params['n_grid']}")
     merged.sort()
     return merged[:k]
 
@@ -276,6 +283,8 @@ def compare_spectra(case):
         upper, pad_up = _interval_eigenvalues(upper_c, d, case.k_count)
         diag = {"geometry": "interval", "d": d, "padded": [pad_lo, pad_up]}
     elif case.geometry == "circle-fem":
+        from . import fem2d
+
         R, R_out, h = params["R"], params["R_out"], params["h"]
         mesh = fem2d.build_mesh(R, R_out, h)
         lower = _fem_eigenvalues(lower_c, mesh, case.k_count)

@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from . import core
 from .errors import ConvergenceFailure, ValidationError
@@ -92,7 +91,8 @@ def sphere_swave_matching(alpha_tilde, R):
     1 - e^{-x} >= x - x^2/2 makes S positive at the lower end.
     Returns (count, eigenvalue-or-None); 1 - e^{-2kR} is taken from expm1,
     which does not cancel near threshold, and the root is bisected until
-    its bracket ends are adjacent floats.
+    its bracket ends are adjacent floats.  Raises ValidationError when
+    -k^2 overflows (alpha_tilde R above about 2.7e154).
     """
     at = float(alpha_tilde)
     R = float(R)
@@ -104,6 +104,8 @@ def sphere_swave_matching(alpha_tilde, R):
     # -S(k); S(alpha_tilde / 2) rounds to 0 for alpha_tilde R above about 37
     k = core.bisect(lambda k: k + 0.5 * at * math.expm1(-2.0 * k * R),
                     (xi - 1.0) / (2.0 * xi * R), 0.5 * at, SWAVE_TOL)
+    if k * k == math.inf:
+        raise ValidationError(f"eigenvalue -k^2 overflows at k={k}")
     return 1, -k * k
 
 
@@ -180,9 +182,14 @@ def radial_fd_spectrum(geom, field, n_grid):
     counted as a bound state.  Only the eigenvalues in
     (Gershgorin lower bound, -NEG_TOL] are computed.
     """
+    from scipy.linalg import eigvalsh_tridiagonal  # imported here: interval tasks load no SciPy
+
     d, e = _mode_tridiagonal(geom, field, n_grid)
-    # Gershgorin bound, moved off it: stebz searches the half-open (lo, hi]
-    lo = float(np.min(d - np.append(e, 0.0) - np.insert(e, 0, 0.0))) - 1.0
+    # Gershgorin bound, moved off it: stebz searches the half-open (lo, hi].
+    # The margin is relative too: past |lo| ~ 1e16 an absolute 1.0 rounds
+    # away and the lowest eigenvalue rounds onto lo, outside the range.
+    lo = float(np.min(d - np.append(e, 0.0) - np.insert(e, 0, 0.0)))
+    lo -= max(1.0, 1e-12 * abs(lo))
     neg = eigvalsh_tridiagonal(d, e, select="v", select_range=(lo, -NEG_TOL), tol=STURM_TOL)
     return RadialSpectrum(tuple(float(x) for x in neg))
 
@@ -194,6 +201,8 @@ def radial_mode_eigenvalues(geom, field, n_grid, count):
     ones, because variational eigenvalue orderings hold for every index
     of the shared nodal space.  Only those ``count`` values are computed.
     """
+    from scipy.linalg import eigvalsh_tridiagonal
+
     d, e = _mode_tridiagonal(geom, field, n_grid)
     last = min(int(count), len(d)) - 1
     return eigvalsh_tridiagonal(d, e, select="i", select_range=(0, last), tol=STURM_TOL)

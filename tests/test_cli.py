@@ -574,6 +574,18 @@ def test_interval_beyond_float_range_writes_error_json(tmp_path, alpha, beta, de
     assert not (out / "report.json").exists()
 
 
+def test_radial_oracle_overflow_writes_error_json(tmp_path):
+    # alpha R = 1e200 has k = 5e199, so -k^2 is -inf: no -Infinity in report.json
+    doc = {"task": "radial-oracle", "coupling": {"alpha": 1e200, "beta": 0.0, "gamma": [0.0, 0.0]},
+           "geometry": {"R": 1.0}}
+    code, out = run_cli(tmp_path, "radial-oracle", doc)
+    assert code == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ValidationError"
+    assert "overflows" in err["detail"]
+    assert not (out / "report.json").exists()
+
+
 def test_circle_fem_reports_the_certified_count(tmp_path):
     # the free coupling (2, 1) has exactly six states on the finest mesh
     # (h = 0.15); eigen_count 4 reports the lowest four of them
@@ -766,18 +778,33 @@ def test_sphere_exact_sweep_reports_every_bound_mode(tmp_path):
     assert point["N"] == 4 and point["eigenvalues"] == [float(c) for c in cells[1:5]]
 
 
-# a fresh interpreter running these tasks must not import scipy.special or
-# scipy.optimize: they cost more than a whole interval task
+# A fresh interpreter runs the given tasks and prints the SciPy modules and
+# surfint.fem2d it has loaded: a task loads only the solver layer it runs.
+# SciPy's start-up alone costs more than a whole interval task.
 IMPORT_PROBE = """
 import json, os, sys
 from surfint import cli
 for i, doc in enumerate(json.loads(sys.argv[1])):
     assert cli.run(cli.parse_config(json.dumps(doc)), os.path.join(sys.argv[2], str(i))) == 0
-print(json.dumps([m for m in ("scipy.special", "scipy.optimize") if m in sys.modules]))
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.partition(".")[0] == "scipy" or m == "surfint.fem2d")))
 """
 
 
-def test_interval_tasks_import_no_special_functions(tmp_path):
+def loaded_after(tmp_path, docs):
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    res = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(docs), str(tmp_path)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout)
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    assert loaded_after(tmp_path, []) == []
+
+
+def test_interval_tasks_import_no_scipy(tmp_path):
     docs = [
         INTERVAL_DOC,
         {"task": "sweep", "coupling": INTERVAL_DOC["coupling"], "geometry": {"d": 4.0},
@@ -785,12 +812,23 @@ def test_interval_tasks_import_no_special_functions(tmp_path):
         {"task": "m-infinity", "coupling": {"alpha": 2.0, "beta": 1.0, "gamma": [0.5, 0.0]}},
         {"task": "radial-oracle", "coupling": INTERVAL_DOC["coupling"], "geometry": {"R": 1.0}},
     ]
-    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    res = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(docs), str(tmp_path)],
-                         capture_output=True, text=True, env=env, timeout=120)
-    assert res.returncode == 0, res.stderr
-    assert json.loads(res.stdout) == []
+    assert loaded_after(tmp_path, docs) == []
+
+
+def test_radial_tasks_import_no_sparse_or_fem(tmp_path):
+    coupling = {"alpha": 2.0, "beta": 1.0, "gamma": [0.0, 0.0]}
+    docs = [
+        {"task": "sphere", "coupling": coupling, "geometry": {"R": 1.0},
+         "solver": {"n_grid": 64}},
+        {"task": "certify", "coupling": coupling,
+         "geometry": {"kind": "sphere", "R": 1.0, "n_grid": 64}},
+        {"task": "sweep", "coupling": coupling, "geometry": {"kind": "sphere", "R": 1.0},
+         "sweep": {"parameter": "alpha", "start": 1.0, "stop": 2.0, "steps": 2},
+         "solver": {"n_grid": 64}},
+    ]
+    loaded = loaded_after(tmp_path, docs)
+    assert "scipy.linalg" in loaded  # the tasks did run their solves
+    assert [m for m in loaded if m.startswith("scipy.sparse") or m == "surfint.fem2d"] == []
 
 
 def test_sweep_interval_backend(tmp_path):

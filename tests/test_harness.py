@@ -1,12 +1,14 @@
 """Tests for the comparison harness, certificates and matched-strength checks."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from surfint import core, harness
-from surfint.errors import CaseInapplicable, GeometryUnavailable, ValidationError
+from surfint.errors import (CaseInapplicable, ConvergenceFailure, GeometryUnavailable,
+                            ValidationError)
 from surfint.harness import ComparisonCase
 
 
@@ -101,6 +103,14 @@ def test_hypothesis_checks_case_params():
     with pytest.raises(ValidationError):
         harness.compare_spectra(make_case("alpha_direct", 2.0, 1.0, 0.0, 1.0, "sphere-radial",
                                           mode_max=-1))
+
+
+def test_sphere_radial_refuses_more_pairs_than_its_modes_hold():
+    # mode 0 at n_grid 64 holds 128 eigenvalues on the constrained side
+    case = make_case("alpha_direct", 2.0, 1.0, 0.0, 1.0, "sphere-radial", n_grid=64, mode_max=0)
+    assert len(harness.compare_spectra(replace(case, k_count=128)).pairs) == 128
+    with pytest.raises(ValidationError, match="k_count 129 exceeds the 128 eigenvalues"):
+        harness.compare_spectra(replace(case, k_count=129))
 
 
 def test_compare_raises_on_failed_hypothesis():
@@ -241,6 +251,14 @@ def test_certificate_majorant_diverges_at_gamma_two():
     assert entry["applicable"]
     assert entry["prediction"] is None
     assert "diverges" in entry["reason"]
+
+
+def test_certificate_refuses_a_sweep_that_never_empties():
+    # a delta sphere of strength 1e20 binds far beyond mode 256; the
+    # Dirichlet count must not read 0 and certify "no bound state"
+    with pytest.raises(ConvergenceFailure):
+        harness.bound_state_certificate(core.uniform_field(1e20, 0.0, 0.0),
+                                        {"kind": "sphere", "R": 1.0, "n_grid": 64})
 
 
 def test_certificate_rejects_unknown_geometry():

@@ -208,6 +208,14 @@ def test_dirichlet_truncation_raises_eigenvalues():
         assert ld >= ln
 
 
+@pytest.mark.parametrize("alpha", [1e19, 1e20, 1e100])
+def test_fd_keeps_the_bound_state_past_the_absolute_margin(alpha):
+    # |lo| ~ alpha: an absolute 1.0 off the Gershgorin bound rounds away,
+    # and the lowest eigenvalue rounded onto the excluded end of (lo, hi]
+    geom = radial.RadialGeometry(3, 1.0, 8.0, "dirichlet", 0)
+    assert len(radial.radial_fd_spectrum(geom, si.delta_field(alpha), 256).eigenvalues) == 1
+
+
 def test_mode_sum_multiplicities_and_sweep():
     # delta circle alpha=6: modes 0,1,2 bind, mode 3 is empty
     geom = radial.RadialGeometry(2, 1.0, 12.0, "dirichlet", 0)
