@@ -151,23 +151,27 @@ def m_infinity(alpha, beta, gamma):
         beta  > 0:  m = -(4 + D + sqrt((4 + D)^2 - 16 alpha beta))^2
                         / (16 beta^2),      D = alpha*beta + |gamma|^2
 
-    Other sign regimes are rejected.  The discriminant is provably
-    nonnegative on this domain ((4+D)^2 - 16ab = (ab + |g|^2 - 4)^2
-    + 16|g|^2 >= 0); NegativeDiscriminant guards against rounding anomalies
-    rather than a reachable mathematical case.
+    Other sign regimes, and an m that overflows, are ValidationErrors.
+    The discriminant is provably nonnegative on this domain ((4+D)^2 - 16ab
+    = (ab + |g|^2 - 4)^2 + 16|g|^2 >= 0); NegativeDiscriminant guards
+    against rounding anomalies rather than a reachable mathematical case.
     """
     a, b = _real_pair(alpha, beta)
     if a < 0 or b < 0:
         raise ValidationError(f"m_infinity requires alpha, beta >= 0, got ({a}, {b})")
     g2 = abs(complex(gamma)) ** 2
     if b == 0.0:
-        return -4.0 * a * a / (4.0 + g2) ** 2
-    det_a = a * b + g2
-    disc = (4.0 + det_a) ** 2 - 16.0 * a * b
-    if disc < 0.0:
-        raise NegativeDiscriminant(f"discriminant {disc} < 0 at alpha={a}, beta={b}, |gamma|^2={g2}")
-    k0 = (4.0 + det_a + math.sqrt(disc)) / (4.0 * b)
-    return -(k0 * k0)
+        m = -4.0 * a * a / (4.0 + g2) ** 2
+    else:
+        det_a = a * b + g2
+        disc = (4.0 + det_a) ** 2 - 16.0 * a * b
+        if disc < 0.0:
+            raise NegativeDiscriminant(f"discriminant {disc} < 0 at alpha={a}, beta={b}, |gamma|^2={g2}")
+        k0 = (4.0 + det_a + math.sqrt(disc)) / (4.0 * b)
+        m = -(k0 * k0)
+    if not math.isfinite(m):
+        raise ValidationError(f"m_infinity overflows at alpha={a}, beta={b}, |gamma|^2={g2}")
+    return m
 
 
 @dataclass(frozen=True)

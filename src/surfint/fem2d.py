@@ -12,8 +12,16 @@ assembled with exact P1 edge mass (L/6) [[2, 1], [1, 2]] per interface
 edge.  For a constrained coupling (beta == 0) the two traces are eliminated
 through (1 + conj(g)/2) f_i = (1 - conj(g)/2) f_e, keeping whichever
 trace has the larger constraint coefficient; the elimination is encoded
-in a sparse map T with K_red = T^H K T, M_red = T^H M T, preserving
-Hermiticity.
+in a sparse map T with K_red = T^T K T, M_red = T^T M T.
+
+Every pencil is real symmetric.  The phase of gamma only turns Theta_12
+(free coupling) or the trace ratio (constrained coupling), and no
+triangle touches both sides of the interface, so one unit phase
+e^{i psi} on every exterior DOF leaves stiffness and mass unchanged and
+removes that turn without moving the spectrum, as the radial layer's
+real tridiagonal does.  The pencil is assembled in that gauge, and the
+physical function of a reduced vector x is phase * (T x); psi = 0 for
+real gamma.
 
 Ring angular counts are powers of two that double (at most) from one ring
 to the next, so coarse-to-fine strips need only one transition pattern
@@ -30,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from . import core, radial
 from .errors import ConvergenceFailure, MeshQualityFailure, ValidationError
@@ -253,17 +262,23 @@ def refine_mesh(mesh):
 
 @dataclass(frozen=True)
 class AssembledPencil:
-    """Stiffness/mass pair with the trace-constraint map.
+    """Real stiffness/mass pair with the trace-constraint map and the gauge.
 
-    K, M: full (doubled-trace) matrices, Hermitian CSR.
-    T: sparse map from reduced to full coefficients; identity for a free
-    coupling.  The eigenvalue problem to solve is
-    (T^H K T) x = lambda (T^H M T) x.
+    K, M: full (doubled-trace) matrices, real symmetric CSR.
+    T: real sparse map from reduced to full coefficients; identity for a
+    free coupling.  The eigenvalue problem to solve is
+    (T^T K T) x = lambda (T^T M T) x, which a diagonal unitary maps onto
+    the reduced physical (Hermitian) pencil.
+    phase: unit-modulus complex array over the full DOFs, 1 on the disk
+    side and e^{i psi} on the annulus side (outer trace copies included),
+    the gauge that makes the pencil real as radial makes its tridiagonal
+    real; phase * (T x) is the physical function of x.
     """
 
     K: sp.csr_matrix
     M: sp.csr_matrix
     T: sp.csr_matrix
+    phase: np.ndarray
 
     @property
     def n_full(self):
@@ -274,12 +289,11 @@ class AssembledPencil:
         return self.T.shape[1]
 
     def reduced(self):
-        TH = self.T.conj().T
-        return (TH @ self.K @ self.T).tocsr(), (TH @ self.M @ self.T).tocsr()
+        return (self.T.T @ self.K @ self.T).tocsr(), (self.T.T @ self.M @ self.T).tocsr()
 
 
 def assemble(field, mesh):
-    """Assemble the quadratic-form pencil of the interaction operator."""
+    """Assemble the real quadratic-form pencil of the interaction operator."""
     n = mesh.n_vertices
     pts = mesh.vertices
     tris = mesh.triangles
@@ -302,11 +316,23 @@ def assemble(field, mesh):
 
     rows = np.repeat(tris, 3, axis=1).ravel()
     cols = np.tile(tris, (1, 3)).ravel()
-    K = sp.coo_matrix((k_loc.ravel(), (rows, cols)), shape=(n, n)).tocsr().astype(complex)
-    M = sp.coo_matrix((m_loc.ravel(), (rows, cols)), shape=(n, n)).tocsr().astype(complex)
+    K = sp.coo_matrix((k_loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    M = sp.coo_matrix((m_loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+    # the gauge e^{i psi} on the exterior DOFs turns r real: r is conj(Theta_12)
+    # (free) or the trace ratio c_e / c_i (constrained; as conj(c_i / c_e), of
+    # the same phase, when |c_e| > |c_i|); psi = 0 when r is real already
+    theta = core.theta_matrix(field).entries
+    if field.kind == core.CONSTRAINED:
+        ci, ce = field.constraint_coefficients()
+        keep_inner = abs(ci) >= abs(ce)
+        r = ce / ci if keep_inner else (ci / ce).conjugate()
+    else:
+        r = theta[0, 1].conjugate()
+    turn = r / abs(r) if r.imag != 0.0 else 1.0 + 0.0j
+    theta = (theta * np.array([[1.0, turn], [turn.conjugate(), 1.0]])).real
 
     # interface term: K -= Theta[a, b] * edge mass on the trace pairs
-    theta = core.theta_matrix(field).entries
     kr, kc, kv = [], [], []
     for ii, io, ji, jo in mesh.interface_edges:
         L = float(np.linalg.norm(pts[ji] - pts[ii]))
@@ -324,28 +350,23 @@ def assemble(field, mesh):
     if kv:
         K = (K + sp.coo_matrix((kv, (kr, kc)), shape=(n, n)).tocsr()).tocsr()
 
-    T = _constraint_map(field, mesh)
-    return AssembledPencil(K, M, T)
+    T = sp.identity(n, format="csr")
+    if field.kind == core.CONSTRAINED:
+        T = _constraint_map(mesh, keep_inner, (r * turn.conjugate()).real)
+    side = connected_components(M, directed=False)[1]  # no triangle spans the interface
+    phase = np.where(np.isin(side, side[mesh.interface_edges[:, 1]]), turn, 1.0 + 0.0j)
+    return AssembledPencil(K, M, T, phase)
 
 
-def _constraint_map(rc, mesh):
-    """Sparse reduction map folding constrained trace pairs.
+def _constraint_map(mesh, keep_inner, ratio):
+    """Sparse reduction map folding the constrained trace pairs.
 
-    For a constrained coupling the admissible pairs are (f_i, f_e) =
-    (c_i, c_e) t; the kept DOF is the trace with the larger coefficient,
-    the other one becomes ratio * kept.
+    The kept DOF of each pair is the inner trace when keep_inner, else
+    the outer one; the other one becomes ratio * kept.
     """
     n = mesh.n_vertices
-    if rc.kind != core.CONSTRAINED:
-        return sp.identity(n, dtype=complex, format="csr")
-    ci, ce = rc.constraint_coefficients()
-    eliminated = {}
-    for ii, io, ji, jo in mesh.interface_edges:
-        for vi, ve in ((ii, io), (ji, jo)):
-            if abs(ci) >= abs(ce):
-                eliminated[ve] = (vi, ce / ci)  # f_e = (c_e / c_i) f_i
-            else:
-                eliminated[vi] = (ve, ci / ce)  # f_i = (c_i / c_e) f_e
+    pairs = mesh.interface_edges.reshape(-1, 2)  # (inner, outer) trace pairs
+    eliminated = dict((pairs[:, ::-1] if keep_inner else pairs).tolist())  # dropped DOF -> kept DOF
     kept = [v for v in range(n) if v not in eliminated]
     col_of = {v: j for j, v in enumerate(kept)}
     rows, cols, vals = [], [], []
@@ -353,11 +374,11 @@ def _constraint_map(rc, mesh):
         rows.append(v)
         cols.append(col_of[v])
         vals.append(1.0)
-    for v, (w, ratio) in eliminated.items():
+    for v, w in eliminated.items():
         rows.append(v)
         cols.append(col_of[w])
         vals.append(ratio)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, len(kept)), dtype=complex).tocsr()
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, len(kept))).tocsr()
 
 
 def shifted_inertia(K, M, s):
@@ -366,7 +387,7 @@ def shifted_inertia(K, M, s):
     Sylvester's law of inertia: with M positive definite, that number is
     the negative inertia of K - s M.  SuperLU factors it with diagonal
     pivots only, P (K - s M) P^T = L U, so diag(U) holds the pivots of an
-    L D L^H factorization and their signs give the inertia.  Returns
+    L D L^T factorization and their signs give the inertia.  Returns
     (count, SuperLU object).  Raises ConvergenceFailure when a pivot is
     zero or SuperLU had to leave the diagonal: the count is then unknown.
     """
@@ -376,22 +397,14 @@ def shifted_inertia(K, M, s):
         diag_pivot_thresh=0.0,
         options={"SymmetricMode": True},
     )
-    pivots = lu.U.diagonal().real
+    pivots = lu.U.diagonal()
     if not np.array_equal(lu.perm_r, lu.perm_c) or np.any(pivots == 0.0):
         raise ConvergenceFailure(f"no inertia for K - s M at s={s}: off-diagonal or zero pivot")
     return int(np.count_nonzero(pivots < 0.0)), lu
 
 
-def _solver_matrices(pencil):
-    """Reduced (K, M), real when the pencil is."""
-    K_r, M_r = pencil.reduced()
-    if K_r.imag.count_nonzero() == 0:
-        K_r, M_r = K_r.real, M_r.real
-    return K_r, M_r
-
-
 def lowest_eigenpairs(pencil, count):
-    """Lowest eigenpairs of the reduced pencil, expanded to full DOFs.
+    """Lowest eigenpairs of the reduced pencil, as physical full-DOF vectors.
 
     ARPACK shift-invert at a shift that shifted_inertia certifies is
     below every eigenvalue, reusing that factorization.  The shift starts
@@ -408,11 +421,11 @@ def lowest_eigenpairs(pencil, count):
     are solved again with those deflated, for at most count + 1 passes.
     ValidationError when count is not below n - 2 for n reduced unknowns.
     """
-    K_r, M_r = _solver_matrices(pencil)
+    K_r, M_r = pencil.reduced()
     nr = K_r.shape[0]
     if count >= nr - 2:
         raise ValidationError(f"ARPACK finds fewer than n - 2 = {nr - 2} eigenpairs, asked for {count}")
-    lumped = abs(pencil.T).power(2).T @ np.asarray(pencil.M.sum(axis=1)).ravel().real
+    lumped = pencil.T.power(2).T @ np.asarray(pencil.M.sum(axis=1)).ravel()
     floor = -4.0 * abs(K_r).sum(axis=1).max() / lumped.min()
     sigma = ARPACK_SHIFT
     while True:
@@ -424,7 +437,7 @@ def lowest_eigenpairs(pencil, count):
                 f"{n_below} eigenvalues below the Gershgorin bound {floor:.3e}")
         sigma *= 4.0
     vals = np.empty(0)
-    vecs = np.empty((nr, 0), dtype=K_r.dtype)
+    vecs = np.empty((nr, 0))
     guard = 0
     for _ in range(count + 1):
         new_vals, new_vecs = _deflated_arpack(K_r, M_r, sigma, lu, count + guard - len(vals), vecs)
@@ -444,7 +457,7 @@ def lowest_eigenpairs(pencil, count):
         guard = 1
     else:
         raise ConvergenceFailure(f"ARPACK left eigenpairs below {top:.6e} uncertified")
-    return [(float(lam), pencil.T @ vecs[:, i]) for i, lam in enumerate(vals)]
+    return [(float(lam), pencil.phase * (pencil.T @ vecs[:, i])) for i, lam in enumerate(vals)]
 
 
 def _relative_residuals(K_r, M_r, vals, vecs):
@@ -466,24 +479,18 @@ def _deflated_arpack(K_r, M_r, sigma, lu, k, found):
     eigenvalues of (K - sigma M)^-1 M are the lowest of the pencil.
     """
     m_found = M_r @ found
-    gram = found.conj().T @ m_found
+    gram = found.T @ m_found
 
     def deflate(z):  # M-orthogonal projection onto the complement of found
-        return z - found @ np.linalg.solve(gram, m_found.conj().T @ z)
+        return z - found @ np.linalg.solve(gram, m_found.T @ z)
 
-    # scipy's complex ARPACK wrapper sits in a reference cycle that holds
-    # the operator until the next full garbage collection; emptying this
-    # list afterwards frees the factor and the deflation basis at once
-    apply = [lambda y: deflate(lu.solve(y))]
-    op_inv = spla.LinearOperator(K_r.shape, matvec=lambda y: apply[0](y), dtype=K_r.dtype)
+    op_inv = spla.LinearOperator(K_r.shape, matvec=lambda y: deflate(lu.solve(y)), dtype=K_r.dtype)
     rng = np.random.default_rng(0)  # deterministic, and without the mesh's symmetry
     v0 = deflate(rng.standard_normal(K_r.shape[0]))
     try:
         return spla.eigsh(K_r, k=k, M=M_r, sigma=sigma, which="LM", v0=v0, OPinv=op_inv, rng=rng)
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceFailure(f"ARPACK did not converge at sigma={sigma}") from exc
-    finally:
-        apply.clear()
 
 
 def negative_spectrum_fem(field, R, R_out, h, count=6):
@@ -504,7 +511,7 @@ def negative_spectrum_fem(field, R, R_out, h, count=6):
         pairs = lowest_eigenpairs(pencil, count)
         ladders.append([lam for lam, _ in pairs])
         sizes.append(pencil.n_reduced)
-    n_neg = shifted_inertia(*_solver_matrices(pencil), -radial.NEG_TOL)[0]  # finest pencil
+    n_neg = shifted_inertia(*pencil.reduced(), -radial.NEG_TOL)[0]  # finest pencil
     mesh_w = build_mesh(R, 1.5 * R_out, h / 2)
     pairs_w = lowest_eigenpairs(assemble(field, mesh_w), count)
     wide = [lam for lam, _ in pairs_w]

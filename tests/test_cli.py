@@ -586,6 +586,20 @@ def test_radial_oracle_overflow_writes_error_json(tmp_path):
     assert not (out / "report.json").exists()
 
 
+def test_m_infinity_overflow_writes_error_json(tmp_path):
+    # m = -alpha^2 / 4 is -inf at alpha = 1e200; without the interval check
+    # nothing else refuses it, so m_infinity itself must
+    doc = {"task": "m-infinity", "coupling": {"alpha": 1e200, "beta": 0.0, "gamma": [0.0, 0.0]},
+           "solver": {"verify_interval": False}}
+    code, out = run_cli(tmp_path, "m-infinity", doc)
+    assert code == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ValidationError"
+    assert "overflows" in err["detail"]
+    assert not (out / "report.json").exists()
+    assert cli._safe_m_infinity(1e200, 0.0, 0.0) is None  # the other tasks report null
+
+
 def test_circle_fem_reports_the_certified_count(tmp_path):
     # the free coupling (2, 1) has exactly six states on the finest mesh
     # (h = 0.15); eigen_count 4 reports the lowest four of them

@@ -5,6 +5,9 @@ the FEM code: Bessel secular equations for the circle (scipy.special)
 and the banded radial finite-difference solver.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -168,6 +171,7 @@ def test_pencil_is_hermitian():
     field = core.uniform_field(1.0, 2.0, 0.5 + 1.5j)
     pen = fem2d.assemble(field, mesh)
     K_r, M_r = pen.reduced()
+    assert K_r.dtype == M_r.dtype == np.float64
     assert abs(K_r - K_r.conj().T).max() < 1e-12
     assert abs(M_r - M_r.conj().T).max() < 1e-14
 
@@ -273,29 +277,37 @@ def test_inertia_count_matches_dense_count(name):
     assert zero_modes == (1 if name in ("real-free", "neumann") else 0)
 
 
-@pytest.mark.parametrize("field, h", [
-    (core.delta_prime_field(1.0), 0.3),
-    # here a single ARPACK run returns the 7th eigenvalue in place of the
-    # 6th, the second copy of the pair at indices 4 and 5
-    (core.uniform_field(2.098620139824451, 1.0538108701161237,
-                        0.1988215735497317 + 0.4791303572468414j), 0.3),
+@pytest.mark.parametrize("field, h, resolve_k", [
+    (core.delta_prime_field(1.0), 0.3, None),
+    # here a single ARPACK run for k = 6 returns the 7th eigenvalue in
+    # place of the 6th, the second copy of the pair at indices 4 and 5
+    (core.uniform_field(2.3526287987466605, 1.122431433914267,
+                        0.44566612065552236 + 0.33582222852599974j), 0.3, 6),
     # here a single ARPACK run for k = 3 stops with residual 6e-8 on the
     # first copy of the pair at indices 2 and 3
-    (core.uniform_field(0.393215731299811, 2.220315515302655, 0.0), 0.2),
+    (core.uniform_field(0.393215731299811, 2.220315515302655, 0.0), 0.2, 3),
 ], ids=["real", "skipped-copy", "stalled-residual"])
-def test_lowest_eigenpairs_keep_both_copies_of_a_degenerate_pair(field, h):
-    pencil = fem2d.assemble(field, fem2d.build_mesh(1.0, 3.0, h))
+def test_lowest_eigenpairs_keep_both_copies_of_a_degenerate_pair(field, h, resolve_k, monkeypatch):
+    mesh = fem2d.build_mesh(1.0, 3.0, h)
+    pencil = fem2d.assemble(field, mesh)
+    K, M, _ = complex_assembly(field, mesh)
     dense = dense_eigenvalues(pencil, 8)
     twins = [i for i in range(7) if abs(dense[i + 1] - dense[i]) < 1e-10]
     assert twins  # m = +-1, +-2, ... pairs of the circle
     assert pencil.n_reduced == pencil.n_full  # free couplings: vectors are reduced ones
+    passes = []
+    arpack = fem2d._deflated_arpack
+    monkeypatch.setattr(fem2d, "_deflated_arpack", lambda *args: passes.append(args[4]) or arpack(*args))
     for k in range(1, 8):
+        passes.clear()
         pairs = fem2d.lowest_eigenpairs(pencil, k)
         assert np.allclose([lam for lam, _ in pairs], dense[:k], rtol=0.0, atol=1e-9)
         for lam, x in pairs:
-            kx, mx = pencil.K @ x, pencil.M @ x
+            kx, mx = K @ x, M @ x
             assert np.linalg.norm(kx - lam * mx) <= 1e-8 * (
                 np.linalg.norm(kx) + (1.0 + abs(lam)) * np.linalg.norm(mx))
+        if k == resolve_k:  # the guard's second pass ran
+            assert len(passes) > 1
 
 
 def test_lowest_eigenpairs_refuses_a_count_arpack_cannot_reach():
@@ -314,3 +326,133 @@ def test_negative_spectrum_skips_the_neumann_zero_mode():
     assert not rep.convergence["truncated_count"]
     none = fem2d.negative_spectrum_fem(core.uniform_field(0.0, 0.0, 0.0), 1.0, 3.0, 0.6)
     assert none.N == 0 and none.eigenvalues == ()
+
+
+def test_arpack_releases_its_operator_without_a_collection(monkeypatch):
+    # the factor and the deflation basis go with the shift-invert operator
+    # as soon as eigsh returns; no reference cycle waits for the collector
+    refs = []
+    eigsh = fem2d.spla.eigsh
+
+    def spy(*args, OPinv, **kwargs):
+        refs.append(weakref.ref(OPinv))
+        return eigsh(*args, OPinv=OPinv, **kwargs)
+
+    monkeypatch.setattr(fem2d.spla, "eigsh", spy)
+    pencil = fem2d.assemble(core.uniform_field(1.0, 2.0, 0.5 + 1.5j), fem2d.build_mesh(1.0, 3.0, 0.4))
+    gc.collect()
+    gc.disable()
+    try:
+        fem2d.lowest_eigenpairs(pencil, 3)
+        alive = [ref() is not None for ref in refs]
+    finally:
+        gc.enable()
+    assert alive and not any(alive)
+
+
+# ------------------------------------- real gauge vs complex assembly oracle
+
+def complex_assembly(field, mesh):
+    """(K, M, T) assembled in complex arithmetic, with gamma's phase left
+    on Theta_12 and on the trace ratio: the pencil of the physical
+    operator, of which fem2d.assemble's real pencil is a gauge."""
+    n = mesh.n_vertices
+    pts = mesh.vertices
+    tris = mesh.triangles
+    p = pts[tris]
+    x, y = p[..., 0], p[..., 1]
+    bvec = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+    cvec = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+    area = 0.5 * np.abs(bvec[:, 0] * cvec[:, 1] - bvec[:, 1] * cvec[:, 0])
+    k_loc = (
+        np.einsum("ti,tj->tij", bvec, bvec) + np.einsum("ti,tj->tij", cvec, cvec)
+    ) / (4.0 * area)[:, None, None]
+    m_loc = area[:, None, None] * ((np.ones((3, 3)) + np.eye(3)) / 12.0)
+    rows = np.repeat(tris, 3, axis=1).ravel()
+    cols = np.tile(tris, (1, 3)).ravel()
+    K = sp.coo_matrix((k_loc.ravel(), (rows, cols)), shape=(n, n)).tocsr().astype(complex)
+    M = sp.coo_matrix((m_loc.ravel(), (rows, cols)), shape=(n, n)).tocsr().astype(complex)
+
+    theta = core.theta_matrix(field).entries
+    kr, kc, kv = [], [], []
+    for ii, io, ji, jo in mesh.interface_edges:
+        L = float(np.linalg.norm(pts[ji] - pts[ii]))
+        s_edge = (L / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
+        dofs = ((ii, io), (ji, jo))
+        for a in (0, 1):
+            for b in (0, 1):
+                if theta[a, b] == 0:
+                    continue
+                for pp in (0, 1):
+                    for qq in (0, 1):
+                        kr.append(dofs[pp][a])
+                        kc.append(dofs[qq][b])
+                        kv.append(-theta[a, b] * s_edge[pp, qq])
+    if kv:
+        K = (K + sp.coo_matrix((kv, (kr, kc)), shape=(n, n)).tocsr()).tocsr()
+
+    if field.kind != core.CONSTRAINED:
+        return K, M, sp.identity(n, dtype=complex, format="csr")
+    ci, ce = field.constraint_coefficients()
+    eliminated = {}
+    for ii, io, ji, jo in mesh.interface_edges:
+        for vi, ve in ((ii, io), (ji, jo)):
+            if abs(ci) >= abs(ce):
+                eliminated[ve] = (vi, ce / ci)  # f_e = (c_e / c_i) f_i
+            else:
+                eliminated[vi] = (ve, ci / ce)  # f_i = (c_i / c_e) f_e
+    kept = [v for v in range(n) if v not in eliminated]
+    col_of = {v: j for j, v in enumerate(kept)}
+    rows = kept + list(eliminated)
+    cols = [col_of[v] for v in kept] + [col_of[w] for w, _ in eliminated.values()]
+    vals = [1.0] * len(kept) + [ratio for _, ratio in eliminated.values()]
+    T = sp.coo_matrix((vals, (rows, cols)), shape=(n, len(kept)), dtype=complex).tocsr()
+    return K, M, T
+
+
+def gauge_couplings():
+    """Every branch of the gauge, then a seeded draw of both kinds."""
+    fixed = [
+        (1.0, 2.0, 0.5), (2.0, 2.0, 0.0),  # free, real gamma; Theta_12 = 0 at alpha beta = 4
+        (1.0, 2.0, 2.0), (1.0, 2.0, -2.0), (1.0, 0.5, 2.5 - 1.0j),  # gamma = +-2, |gamma| > 2
+        (2.0, 0.0, 2.0), (2.0, 0.0, -2.0), (2.0, 0.0, 3.0),  # constrained, real gamma
+        (2.0, 0.0, 0.5 + 0.5j), (2.0, 0.0, -3.0 + 0.5j),  # |c_i| < |c_e|, then |c_i| > |c_e|
+        (2.0, 0.0, 2.0j), (0.0, 0.0, 1.0 + 1.0j),  # |c_i| = |c_e|; Theta = 0
+    ]
+    rng = np.random.default_rng(14)
+    drawn = []
+    for i in range(28):
+        gamma = complex(rng.uniform(0.0, 3.0) * np.exp(1j * rng.uniform(-np.pi, np.pi)))
+        beta = 0.0 if i % 2 else rng.uniform(0.3, 3.0)
+        drawn.append((rng.uniform(-1.0, 4.0), beta, gamma.real if i % 3 == 0 else gamma))
+    return fixed + drawn
+
+
+GAUGE_MESH = fem2d.build_mesh(1.0, 2.5, 0.5)
+
+
+@pytest.mark.parametrize("coupling", gauge_couplings())
+def test_real_gauge_matches_the_complex_assembly(coupling):
+    field = core.uniform_field(*coupling)
+    pencil = fem2d.assemble(field, GAUGE_MESH)
+    K, M, T = complex_assembly(field, GAUGE_MESH)
+    assert pencil.K.dtype == pencil.M.dtype == pencil.T.dtype == np.float64
+    assert np.allclose(np.abs(pencil.phase), 1.0, rtol=0.0, atol=1e-15)
+    if complex(coupling[2]).imag == 0.0:  # no gauge: today's numbers bit for bit
+        for got, want in ((pencil.K, K), (pencil.M, M), (pencil.T, T)):
+            assert np.array_equal(got.toarray(), want.toarray())
+        assert np.array_equal(pencil.phase, np.ones(pencil.n_full))
+    TH = T.conj().T
+    want = scipy.linalg.eigvalsh((TH @ K @ T).toarray(), (TH @ M @ T).toarray())
+    got = scipy.linalg.eigvalsh(*(A.toarray() for A in pencil.reduced()))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    ci, ce = field.constraint_coefficients()
+    inner, outer = GAUGE_MESH.interface_edges[:, 0], GAUGE_MESH.interface_edges[:, 1]
+    for lam, x in fem2d.lowest_eigenpairs(pencil, 3):
+        if field.kind == core.CONSTRAINED:  # (1 + conj(g)/2) f_i = (1 - conj(g)/2) f_e
+            assert np.max(np.abs(ce * x[inner] - ci * x[outer])) <= 1e-13 * np.max(np.abs(x))
+        # x = T y, so this is the residual of y in the reduced physical pencil
+        kx, mx = TH @ (K @ x), TH @ (M @ x)
+        assert np.linalg.norm(kx - lam * mx) <= 1e-8 * (
+            np.linalg.norm(kx) + (1.0 + abs(lam)) * np.linalg.norm(mx))
