@@ -20,7 +20,7 @@ print(f"  eigenvalues: {[f'{x:.12f}' for x in spec.eigenvalues]}")
 print(f"  decay rates: {[f'{k:.12f}' for k in spec.ks]}")
 print(f"  residuals:   {[f'{r:.1e}' for r in spec.diagnostics['residuals']]}")
 print(f"  structural count {spec.diagnostics['census_expected']}, "
-      f"found {spec.diagnostics['root_count']}")
+      f"found {len(spec.eigenvalues)}")
 
 # the census: how many bound states each parameter class carries
 print("\nroot census on a small grid (d = 6):")

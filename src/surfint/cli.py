@@ -152,7 +152,7 @@ _COUPLING = {"alpha": (_number, True), "beta": (_number, True), "gamma": (_gamma
 _RADII = {"R": (_positive, True), "R_out": (_positive, False)}
 _KIND = (_choice("circle", "sphere"), True)
 _N_GRID = (_count, False)
-_OUTER_BC = (_choice("neumann", "dirichlet"), False)
+_OUTER_BC = (_choice(*radial.OUTER_BCS), False)
 _CASE = {
     "case_id": (_any, True),
     "alpha": (_number, True),
@@ -401,36 +401,29 @@ def _mode_sum(cfg, dimension, coupling, R, n_grid):
                                     cfg.solver.get("n_grid", n_grid))
 
 
-def _run_sphere(cfg, verbose):
-    rep = _mode_sum(cfg, 3, cfg.coupling, cfg.geometry["R"], 512)
+def _spectrum_outcome(rep, coupling):
+    """The outcome of a task that reports a SpectrumReport of a coupling."""
     rows = [(i, lam, None, None) for i, lam in enumerate(rep.eigenvalues, start=1)]
     results = {
         "eigenvalues": list(rep.eigenvalues),
         "N": rep.N,
-        "m_infinity": _safe_m_infinity(*cfg.coupling),
+        "m_infinity": _safe_m_infinity(*coupling),
     }
     return TaskOutcome(results, dict(rep.tolerances), dict(rep.convergence), rows)
+
+
+def _run_sphere(cfg, verbose):
+    return _spectrum_outcome(_mode_sum(cfg, 3, cfg.coupling, cfg.geometry["R"], 512), cfg.coupling)
 
 
 def _run_circle_fem(cfg, verbose):
     from . import fem2d  # imported here: no other task loads scipy.sparse
 
-    a, b, g = cfg.coupling
     R = cfg.geometry["R"]
     rep = fem2d.negative_spectrum_fem(
-        core.uniform_field(a, b, g),
-        R,
-        cfg.geometry.get("R_out", 3.0 * R),
-        cfg.geometry.get("h", 0.3 * R),
-        count=cfg.solver.get("eigen_count", 6),
-    )
-    rows = [(i, lam, None, None) for i, lam in enumerate(rep.eigenvalues, start=1)]
-    results = {
-        "eigenvalues": list(rep.eigenvalues),
-        "N": rep.N,
-        "m_infinity": _safe_m_infinity(a, b, g),
-    }
-    return TaskOutcome(results, dict(rep.tolerances), dict(rep.convergence), rows)
+        core.uniform_field(*cfg.coupling), R, cfg.geometry.get("R_out", 3.0 * R),
+        cfg.geometry.get("h", 0.3 * R), count=cfg.solver.get("eigen_count", 6))
+    return _spectrum_outcome(rep, cfg.coupling)
 
 
 def _run_radial_oracle(cfg, verbose):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeDiscriminant, NonRealAlpha, ValidationError
+from .errors import NonRealAlpha, ValidationError
 
 FREE = "free"
 CONSTRAINED = "constrained"
@@ -142,35 +142,37 @@ def theta_matrix(rc):
     return ThetaMatrix(ent, rc.kind)
 
 
+def line_roots(alpha, beta, gamma):
+    """Roots of q(s) = beta s^2 - c s + alpha = beta det(sI - Theta), with
+    c = (4 + alpha beta + |gamma|^2) / 2, the larger in magnitude first:
+    (0.5 t / beta, 2 alpha / t) with t = c + sign(c) sqrt(c^2 - 4 alpha
+    beta), or (alpha / c,) when beta == 0.  The square root is taken as
+    hypot(alpha beta + |gamma|^2 - 4, 4 |gamma|) / 2, which does not
+    cancel; it is at least 4 when c = 0, so t != 0.
+    """
+    a, b, g = alpha, beta, abs(complex(gamma))
+    c = 0.5 * (4.0 + a * b + g * g)
+    if b == 0.0:
+        return (a / c,)  # c = (4 + |gamma|^2)/2 > 0
+    t = c + math.copysign(0.5 * math.hypot(a * b + g * g - 4.0, 4.0 * g), c)
+    return (0.5 * t / b, 2.0 * a / t)
+
+
 def m_infinity(alpha, beta, gamma):
     """Infimum of the essential spectrum band bottom for the flat problem.
 
-    For alpha, beta >= 0 (gamma any complex number):
-
-        beta == 0:  m = -4 alpha^2 / (4 + |gamma|^2)^2
-        beta  > 0:  m = -(4 + D + sqrt((4 + D)^2 - 16 alpha beta))^2
-                        / (16 beta^2),      D = alpha*beta + |gamma|^2
-
-    Other sign regimes, and an m that overflows, are ValidationErrors.
-    The discriminant is provably nonnegative on this domain ((4+D)^2 - 16ab
-    = (ab + |g|^2 - 4)^2 + 16|g|^2 >= 0); NegativeDiscriminant guards
-    against rounding anomalies rather than a reachable mathematical case.
+    For alpha, beta >= 0 (gamma any complex number) m = -s^2, s the
+    larger root of :func:`line_roots`.  Other sign regimes, and an m
+    that overflows, are ValidationErrors.
     """
     a, b = _real_pair(alpha, beta)
     if a < 0 or b < 0:
         raise ValidationError(f"m_infinity requires alpha, beta >= 0, got ({a}, {b})")
-    g2 = abs(complex(gamma)) ** 2
-    if b == 0.0:
-        m = -4.0 * a * a / (4.0 + g2) ** 2
-    else:
-        det_a = a * b + g2
-        disc = (4.0 + det_a) ** 2 - 16.0 * a * b
-        if disc < 0.0:
-            raise NegativeDiscriminant(f"discriminant {disc} < 0 at alpha={a}, beta={b}, |gamma|^2={g2}")
-        k0 = (4.0 + det_a + math.sqrt(disc)) / (4.0 * b)
-        m = -(k0 * k0)
+    s = line_roots(a, b, gamma)[0]
+    m = -(s * s)
     if not math.isfinite(m):
-        raise ValidationError(f"m_infinity overflows at alpha={a}, beta={b}, |gamma|^2={g2}")
+        raise ValidationError(
+            f"m_infinity overflows at alpha={a}, beta={b}, |gamma|^2={abs(complex(gamma)) ** 2}")
     return m
 
 

@@ -33,15 +33,6 @@ class NonRealAlpha(ValidationError):
     """alpha must be a real number; a nonzero imaginary part was given."""
 
 
-class NegativeDiscriminant(SurfintError):
-    """Discriminant of the threshold quadratic went negative.
-
-    Unreachable for alpha, beta >= 0 (the discriminant equals
-    (alpha*beta + |gamma|^2 - 4)^2 + 16|gamma|^2 >= 0); kept as a guard
-    against silent domain violations.
-    """
-
-
 class MeshQualityFailure(SurfintError):
     """Generated mesh violates the minimum-angle bound."""
 

@@ -246,7 +246,7 @@ def _radial_merged_eigenvalues(coupling, params, k):
     for mode in range(params["mode_max"] + 1):
         lam = radial.radial_mode_eigenvalues(replace(geom, mode=mode), field,
                                              params["n_grid"], count=k)
-        merged.extend(float(v) for v in lam for _ in range(2 * mode + 1))
+        merged.extend(float(v) for v in lam for _ in range(radial.multiplicity(3, mode)))
     if len(merged) < k:  # then every mode returned all its eigenvalues
         raise ValidationError(
             f"k_count {k} exceeds the {len(merged)} eigenvalues (with multiplicity) of "
@@ -325,8 +325,7 @@ def build_comparison_suite():
     FEM.  Several sit exactly on the hypothesis boundary (reference
     equal to its admissible maximum) where the ordering is non-strict.
     """
-    iv = {"d": 8.0}
-    fem = {"R": 1.0, "R_out": 3.0, "h": 0.3}
+    iv, fem = dict(PARAMS["interval"]), dict(PARAMS["circle-fem"])
     cases = [
         ComparisonCase("alpha_direct", 2.0, 1.0, 0.0, 2.0, "interval", iv),
         ComparisonCase("alpha_direct", 2.0, 1.0, 0.0, 1.2, "interval", iv),
@@ -495,10 +494,9 @@ def essential_bound_check(alpha, beta, gamma, verify_interval=True):
     large enough for the exponential convergence to exhaust double
     precision headroom.
     """
-    if alpha < 0 or beta < 0:
-        raise ValidationError(f"needs alpha >= 0 and beta >= 0, got ({alpha}, {beta})")
+    alpha, beta = core._real_pair(alpha, beta)
     g = complex(gamma)
-    m_A = core.m_infinity(alpha, beta, gamma)
+    m_A = core.m_infinity(alpha, beta, gamma)  # refuses alpha < 0 or beta < 0
     cases = []
     for name, family_id, extra in _MATCHED_SHAPES:
         family = FAMILIES[family_id]

@@ -84,9 +84,9 @@ class IntervalSpectrum:
 
     eigenvalues: ascending (deepest first); ks: the matching k > 0 values
     (descending, lambda_i = -ks_i^2); m_interval: min(0, lowest
-    eigenvalue); diagnostics: the root count, the secular count
-    (census_expected), the degeneracy flag, the k window (k_max) and the
-    residuals |F(k)| at the roots.
+    eigenvalue); diagnostics: the secular count (census_expected), the
+    degeneracy flag, the k window (k_max) and the residuals |F(k)| at the
+    roots.
     """
 
     eigenvalues: tuple
@@ -190,28 +190,19 @@ def determinant_oracle(k, prob):
 def secular_roots(prob):
     """Positive roots s of the secular quadratic q, descending.
 
-    q(s) = b s^2 - c s + a with a = alpha, b = beta and
-    c = (4 + alpha beta + |gamma|^2)/2 (see the module docstring); a
-    degenerate coupling has one double root.  A root of q is 0 only when
-    alpha is; ValidationError when any other root is not a normal float,
-    since a root that under- or overflowed would be miscounted.
+    q is :func:`core.line_roots`'s quadratic (see the module docstring);
+    a degenerate coupling has one double root.  A root of q is 0 only
+    when alpha is; ValidationError when any other root is not a normal
+    float, since a root that under- or overflowed would be miscounted.
     """
-    a, b, g = prob.alpha, prob.beta, abs(prob.gamma)
-    c = 0.5 * (4.0 + a * b + g * g)
+    a, b = prob.alpha, prob.beta
+    roots = core.line_roots(a, b, prob.gamma)
     if is_degenerate(prob):
-        roots = (0.5 * c / b,)
-    elif b == 0.0:
-        roots = (a / c,)  # c = (4 + |gamma|^2)/2 > 0
-    else:
-        # the stable form of (c +- sqrt(c^2 - 4ab)) / (2b); t != 0, since
-        # c = 0 makes the square root at least 4
-        root = 0.5 * math.hypot(a * b + g * g - 4.0, 4.0 * g)
-        t = c + math.copysign(root, c)
-        roots = (0.5 * t / b, 2.0 * a / t)
+        roots = roots[:1]  # 0.5 t / beta, which is 0.5 c / beta when alpha beta == 4
     if any(not np.finfo(float).tiny <= abs(s) < math.inf for s in roots if s != 0.0 or a != 0.0):
         raise ValidationError(
             f"a root of the secular quadratic leaves the float range: {roots} "
-            f"at alpha={a}, beta={b}, |gamma|={g}")
+            f"at alpha={a}, beta={b}, |gamma|={abs(prob.gamma)}")
     return tuple(sorted((s for s in roots if s > 0.0), reverse=True))
 
 
@@ -261,7 +252,6 @@ def negative_spectrum(prob, k_max=None):
     ks = tuple(ks)  # descending: deepest eigenvalue first
     eigenvalues = tuple(-k * k for k in ks)
     diagnostics = {
-        "root_count": len(ks),
         "census_expected": len(roots),
         "degenerate": is_degenerate(prob),
         "k_max": float(k_max),

@@ -112,38 +112,62 @@ def sphere_swave_matching(alpha_tilde, R):
 def sphere_delta_spectrum(alpha_tilde, R, count):
     """Exact bound states of the attractive delta sphere in 3-D.
 
-    Mode l binds iff alpha_tilde R > 2l + 1, and then has one root k of
+    Mode l (nu = l + 1/2) binds iff alpha_tilde R > 2l + 1, with one root
+    k of alpha_tilde R I_nu(kR) K_nu(kR) = 1: an eigenvalue -k^2 of
+    multiplicity 2l + 1.  The Wronskian 1 / (I K) = x (I'/I - K'/K) turns
+    that into
 
-        alpha_tilde R I_{l+1/2}(kR) K_{l+1/2}(kR) = 1,
+        x (I_{nu+1}/I_nu + K_{nu-1}/K_nu)(x) = alpha_tilde R - (2l + 1),   x = kR,
 
-    an eigenvalue -k^2 of multiplicity 2l + 1: the product falls in k from
-    1/(2l + 1) and stays below 1/(2kR), so k < alpha_tilde / 2.  It falls
-    in l too, so the lowest ``count`` eigenvalues come from the first
-    modes, the only ones solved.  Returns (N, those eigenvalues ascending).
-    l = 0 is sphere_swave_matching; higher modes are bisected on the
-    scaled ive * kve, whose exponentials cancel.  Raises ConvergenceFailure
-    where that product is not finite (I underflows for l far above kR).
+    whose left side, a sum of positive ratios, rises from 0: nothing
+    cancels near the threshold.  I K falls in l, so each root lies below
+    the previous mode's, which brackets it, and the lowest ``count``
+    eigenvalues come from the first modes, the only ones solved.  l = 0
+    is sphere_swave_matching.  Returns (N, those eigenvalues ascending).
+    Raises ConvergenceFailure where a ratio is not finite: kve overflows
+    for l far above kR, and ive and kve are NaN past kR ~ 1e9.
     """
-    from scipy.special import ive, kve  # imported here: interval tasks never pay for it
+    from scipy.special import kve  # imported here: interval tasks never pay for it
 
     n_swave, lam = sphere_swave_matching(alpha_tilde, R)
     xi = float(alpha_tilde) * R
     bound = math.ceil(xi) // 2  # the modes l with 2l + 1 < xi
     eigenvalues = [lam] * n_swave
+    k = math.sqrt(-lam) if n_swave else 0.0
     for l in range(1, min(bound, math.isqrt(max(count, 1) - 1) + 1)):  # modes 0..l hold (l + 1)^2
+        nu, excess = l + 0.5, xi - (2 * l + 1)
 
-        def excess(k):  # 1 - xi I K, rising through 0 at the root
-            p = float(ive(l + 0.5, k * R)) * float(kve(l + 0.5, k * R))
-            if not math.isfinite(p):
-                raise ConvergenceFailure(f"I K product of mode {l} is {p} at kR = {k * R}")
-            return 1.0 - xi * p
+        def residual(k):  # the left side less the excess, rising through 0 at the root
+            x = k * R
+            if x == 0.0:
+                return -excess
+            k_nu = float(kve(nu, x))
+            lhs = x * (_i_ratio(nu, x) + float(kve(nu - 1, x)) / k_nu)
+            if not (math.isfinite(lhs) and k_nu < math.inf):  # k_nu = inf would read as 0
+                raise ConvergenceFailure(f"Bessel ratios of mode {l} are not finite at kR = {x}")
+            return lhs - excess
 
-        hi, lo = 0.5 * alpha_tilde, 0.25 * alpha_tilde
-        while excess(lo) > 0.0:
-            hi, lo = lo, 0.5 * lo
-        k = core.bisect(excess, lo, hi, SWAVE_TOL)
-        eigenvalues += [-k * k] * (2 * l + 1)
+        if residual(k) > 0.0:  # else this root is within rounding of the last (alpha R above ~1e8)
+            k = core.bisect(residual, 0.0, k, SWAVE_TOL)
+        eigenvalues += [-k * k] * multiplicity(3, l)
     return bound * bound, eigenvalues[:count]
+
+
+def _i_ratio(nu, x):
+    """I_{nu+1}(x) / I_nu(x) for x > 0.  Below x = nu it is the continued
+    fraction 1 / (2(nu + 1)/x + 1 / (2(nu + 2)/x + ...)) from 30 levels
+    down: each level damps the ones below it by 1/4 or more, so the
+    truncation is below 1e-18 relative, and no term cancels.  There the
+    ratio of scipy's ive loses up to 1e-13 and underflows for nu >> x;
+    above it the ive ratio is used, an underflowed ive reading NaN."""
+    from scipy.special import ive
+
+    if x >= nu:
+        return float(ive(nu + 1, x)) / (float(ive(nu, x)) or math.nan)
+    r = 0.0
+    for j in range(30, 0, -1):
+        r = x / (2.0 * (nu + j) + x * r)
+    return r
 
 
 def swave_threshold(R=1.0, lo=0.9, hi=1.1, tol=1e-10):
@@ -337,13 +361,20 @@ def richardson(values, order=2, ratio=2.0):
     return best, abs(best - prev_best)
 
 
+def multiplicity(dimension, mode):
+    """Angular multiplicity of a radial eigenvalue: 1 for the axisymmetric
+    mode and 2 per mode m >= 1 in 2-D, 2l + 1 in 3-D."""
+    if dimension == 2:
+        return 1 if mode == 0 else 2
+    return 2 * mode + 1
+
+
 def assemble_mode_sum(geom, field, n_grid):
     """Merge per-mode negative spectra with angular multiplicities.
 
-    Multiplicity: 1 for the axisymmetric mode, 2 per mode m >= 1 in 2-D,
-    2l + 1 in 3-D.  Modes are swept upward until the first one with no
-    negative eigenvalue (the centrifugal term is monotone in the mode, so
-    higher modes are then empty too).
+    Modes are swept upward until the first one with no negative
+    eigenvalue (the centrifugal term is monotone in the mode, so higher
+    modes are then empty too).
     """
     per_mode = {}
     merged = []
@@ -353,7 +384,8 @@ def assemble_mode_sum(geom, field, n_grid):
         per_mode[mode] = spec.eigenvalues
         if not spec.eigenvalues:
             break
-        _merge(merged, spec.eigenvalues, mode, geom.dimension)
+        merged += [lam for lam in spec.eigenvalues
+                   for _ in range(multiplicity(geom.dimension, mode))]
         mode += 1
         if mode > 256:
             raise ConvergenceFailure("mode sweep did not terminate by mode 256")
@@ -369,12 +401,3 @@ def assemble_mode_sum(geom, field, n_grid):
             "dimension": geom.dimension,
         },
     )
-
-
-def _merge(merged, eigenvalues, mode, dimension):
-    if dimension == 2:
-        mult = 1 if mode == 0 else 2
-    else:
-        mult = 2 * mode + 1
-    for lam in eigenvalues:
-        merged.extend([lam] * mult)

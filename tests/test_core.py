@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -74,9 +75,9 @@ def test_m_infinity_gamma_zero_piecewise():
     gim=st.floats(-4, 4, **finite),
 )
 def test_m_infinity_defined_and_nonpositive(a, b, gre, gim):
-    # the discriminant (4 + ab + |g|^2)^2 - 16ab is >= 0 on the whole
-    # admissible domain, so this never raises NegativeDiscriminant; m is
-    # refused only where it overflows, that is where k ~ 1/beta does
+    # the roots of the secular quadratic are real on the whole admissible
+    # domain (its discriminant is a sum of squares), so m is refused only
+    # where it overflows, that is where k ~ 1/beta does
     try:
         m = si.m_infinity(a, b, complex(gre, gim))
     except ValidationError as exc:
@@ -102,6 +103,20 @@ def test_m_infinity_monotone_in_alpha(a, b, gre, gim):
     # plus a few ulps: where m = -4/beta^2 does not depend on alpha, m1 and
     # m2 may still round apart, and at |m| ~ 1e4 one ulp exceeds 1e-12
     assert m2 <= m1 + 1e-12 + 4 * math.ulp(m1)
+
+
+@pytest.mark.parametrize("excess", [1e-9, -1e-9, 1e-10, -1e-10])
+def test_m_infinity_near_the_double_root_against_mpmath(excess):
+    # at gamma = 0 and alpha beta = 4 the discriminant (4 + ab)^2 - 16ab
+    # cancels; the roots of the secular quadratic must not
+    beta = 2.0 * (1.0 + excess)
+    with mpmath.workdps(50):
+        a, b = mpmath.mpf(2), mpmath.mpf(beta)
+        c = (4 + a * b) / 2
+        s = (c + mpmath.sqrt(c * c - 4 * a * b)) / (2 * b)
+        m_ref = float(-s * s)
+    m = si.m_infinity(2.0, beta, 0.0)
+    assert abs(m - m_ref) <= 4 * math.ulp(m_ref)
 
 
 def test_m_infinity_rejects_bad_domain():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from surfint import core, harness
 from surfint.errors import (CaseInapplicable, ConvergenceFailure, GeometryUnavailable,
-                            ValidationError)
+                            NonRealAlpha, ValidationError)
 from surfint.harness import ComparisonCase
 
 
@@ -332,6 +332,14 @@ def test_essential_bound_inapplicable_and_invalid():
         harness.essential_bound_check(0.0, 0.0, 1j)
     with pytest.raises(ValidationError):
         harness.essential_bound_check(-1.0, 1.0, 0.0)
+
+
+def test_essential_bound_takes_real_parts_as_m_infinity_does():
+    # the coupling is checked once, by the floats core.m_infinity checks
+    with pytest.raises(NonRealAlpha):
+        harness.essential_bound_check(1 + 1j, 1.0, 0.0)
+    rep = harness.essential_bound_check(1.0, 1 + 0j, 0.0)
+    assert rep == harness.essential_bound_check(1.0, 1.0, 0.0)
 
 
 def test_essential_bound_interval_check_is_optional():

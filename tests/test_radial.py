@@ -126,6 +126,46 @@ def test_delta_sphere_spectrum_brackets_where_the_product_is_finite():
         radial.sphere_delta_spectrum(1e10, 1.0, 2)
 
 
+@pytest.mark.parametrize("l", [1, 2])
+@pytest.mark.parametrize("eps", [1e-6, 1e-10, 1e-12, 1e-14])
+def test_delta_sphere_mode_near_threshold_against_mpmath(l, eps):
+    # alpha R I K = 1 cancels at the threshold alpha R = 2l + 1; the ratio
+    # form of the root keeps its relative accuracy
+    xi = (2 * l + 1) * (1.0 + eps)
+    N, lams = radial.sphere_delta_spectrum(xi, 1.0, (l + 1) ** 2)
+    with mpmath.workdps(60):
+        xi_mp, nu = mpmath.mpf(xi), mpmath.mpf(l) + mpmath.mpf(1) / 2
+        # started at the small-x root x^2 (1/(2nu + 2) + 1/(2nu - 2)) = xi - (2l + 1)
+        x0 = mpmath.sqrt((xi_mp - (2 * l + 1)) / (1 / (2 * nu + 2) + 1 / (2 * nu - 2)))
+        x = mpmath.findroot(lambda x: xi_mp * mpmath.besseli(nu, x) * mpmath.besselk(nu, x) - 1,
+                            (0.9 * x0, 1.1 * x0), solver="anderson")
+        lam_ref = float(-x * x)
+    assert N == len(lams) and lams[l * l] == lams[-1]  # the (l + 1)^2 states end with mode l
+    assert abs(lams[-1] - lam_ref) <= 1e-15 * abs(lam_ref)
+
+
+@pytest.mark.parametrize("xi", [4.4, 12.0, 60.5, 400.0])
+def test_delta_sphere_each_root_below_the_previous(xi):
+    # I K falls in l, so mode l's root is strictly below mode l - 1's:
+    # the premise of the bracket (0, k_{l-1})
+    N, lams = radial.sphere_delta_spectrum(xi, 1.0, 10 ** 6)
+    per_mode = [lams[l * l] for l in range(math.isqrt(N))]
+    assert all(a < b for a, b in zip(per_mode, per_mode[1:]))
+
+
+@pytest.mark.parametrize("xi", [5e8, 1e9])
+def test_delta_sphere_roots_within_rounding_of_the_last(xi):
+    # 1/(I K) = 2x + (nu^2 - 1/4)/x + O(x^-3) puts mode l at
+    # lambda = -xi^2/4 + l(l + 1), within rounding of mode l - 1 at this
+    # xi, where the bracket (0, k_{l-1}) need not change sign in floats
+    N, lams = radial.sphere_delta_spectrum(xi, 1.0, 100)
+    assert N == (math.ceil(xi) // 2) ** 2
+    for l in range(10):
+        expected = -xi * xi / 4 + l * (l + 1)
+        assert abs(lams[l * l] - expected) <= 4 * math.ulp(expected)
+    assert lams == sorted(lams)
+
+
 # ------------------------------------------------------- 2-D Bessel references
 
 
