@@ -18,8 +18,9 @@ gamma*) and every task takes output (dir):
 
     interval       exact negative spectrum on the symmetric interval,
                    one eigenvalue per positive root of its secular
-                   quadratic, its k bisected to adjacent floats; k_max
-                   is an optional window on k
+                   quadratic (twice for its double root), its k
+                   bisected to adjacent floats; k_max is an optional
+                   window on k
                    geometry* d*;  solver: k_max
     sphere         radial FD mode sum on the 3-D sphere interface
                    geometry* R*, R_out;  solver: n_grid, outer_bc
@@ -365,16 +366,13 @@ def _run_interval(cfg, verbose):
     prob = interval.IntervalProblem(alpha=a, beta=b, gamma=g, d=cfg.geometry["d"])
     spec = interval.negative_spectrum(prob, cfg.solver.get("k_max"))
     diag = spec.diagnostics
-    rows = [
-        (i, lam, k, res)
-        for i, (lam, k, res) in enumerate(
-            zip(spec.eigenvalues, spec.ks, diag["residuals"]), start=1)
-    ]
+    lams, ks = spec.counted(spec.eigenvalues), spec.counted(spec.ks)  # N counts a double root twice
+    rows = [(i, *row) for i, row in enumerate(zip(lams, ks, spec.counted(diag["residuals"])), start=1)]
     results = {
         "d": cfg.geometry["d"],
-        "eigenvalues": list(spec.eigenvalues),
-        "ks": list(spec.ks),
-        "N": len(spec.eigenvalues),
+        "eigenvalues": lams,
+        "ks": ks,
+        "N": len(lams),
         "m_interval": spec.m_interval,
         "m_infinity": _safe_m_infinity(a, b, g),
         "census_expected": diag["census_expected"],
@@ -509,8 +507,8 @@ def _run_sweep(cfg, verbose):
         at = {"alpha": a0, "beta": b0, **cfg.geometry, param: value}  # this point's parameters
         a, b = at["alpha"], at["beta"]
         if backend_used == "interval-exact":
-            lams = interval.negative_spectrum(
-                interval.IntervalProblem(alpha=a, beta=b, gamma=g0, d=at["d"])).eigenvalues
+            spec = interval.negative_spectrum(interval.IntervalProblem(alpha=a, beta=b, gamma=g0, d=at["d"]))
+            lams = spec.counted(spec.eigenvalues)
             N = len(lams)
         elif backend_used == "sphere-delta-exact":
             N, lams = radial.sphere_delta_spectrum(a, at["R"], n)

@@ -225,7 +225,7 @@ def _interval_eigenvalues(coupling, d, k):
     a, b, g = coupling
     prob = interval.IntervalProblem(alpha=a, beta=b, gamma=g, d=d)
     spec = interval.negative_spectrum(prob)
-    return _pad(sorted(spec.eigenvalues), k)
+    return _pad(sorted(spec.counted(spec.eigenvalues)), k)
 
 
 def _fem_eigenvalues(coupling, mesh, k):

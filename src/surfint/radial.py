@@ -78,35 +78,11 @@ class RadialSpectrum:
 
 
 def sphere_swave_matching(alpha_tilde, R):
-    """Bound state of the attractive delta sphere in 3-D, s-wave sector.
-
-    The matching of u = r psi (sinh inside, decaying exponential outside)
-    gives the secular equation
-
-        S(k) = (alpha_tilde / 2) (1 - e^{-2kR}) - k = 0,   k > 0.
-
-    S is concave with S(0) = 0 and S'(0) = alpha_tilde R - 1, so a
-    positive root exists iff alpha_tilde * R > 1 and is then unique.  It
-    lies in [(alpha_tilde R - 1) / (2 alpha_tilde R^2), alpha_tilde / 2]:
-    1 - e^{-x} >= x - x^2/2 makes S positive at the lower end.
-    Returns (count, eigenvalue-or-None); 1 - e^{-2kR} is taken from expm1,
-    which does not cancel near threshold, and the root is bisected until
-    its bracket ends are adjacent floats.  Raises ValidationError when
-    -k^2 overflows (alpha_tilde R above about 2.7e154).
-    """
-    at = float(alpha_tilde)
-    R = float(R)
-    if at < 0 or R <= 0:
-        raise ValidationError(f"need alpha_tilde >= 0 and R > 0, got ({at}, {R})")
-    xi = at * R
-    if xi <= 1.0:
-        return 0, None
-    # -S(k); S(alpha_tilde / 2) rounds to 0 for alpha_tilde R above about 37
-    k = core.bisect(lambda k: k + 0.5 * at * math.expm1(-2.0 * k * R),
-                    (xi - 1.0) / (2.0 * xi * R), 0.5 * at, SWAVE_TOL)
-    if k * k == math.inf:
-        raise ValidationError(f"eigenvalue -k^2 overflows at k={k}")
-    return 1, -k * k
+    """Bound state of the attractive delta sphere in 3-D, s-wave sector:
+    mode 0 of sphere_delta_spectrum, which binds iff alpha_tilde R > 1.
+    Returns (count, eigenvalue-or-None); raises as that does."""
+    lams = sphere_delta_spectrum(alpha_tilde, R, 1)[1]
+    return (1, lams[0]) if lams else (0, None)
 
 
 def sphere_delta_spectrum(alpha_tilde, R, count):
@@ -120,54 +96,72 @@ def sphere_delta_spectrum(alpha_tilde, R, count):
         x (I_{nu+1}/I_nu + K_{nu-1}/K_nu)(x) = alpha_tilde R - (2l + 1),   x = kR,
 
     whose left side, a sum of positive ratios, rises from 0: nothing
-    cancels near the threshold.  I K falls in l, so each root lies below
-    the previous mode's, which brackets it, and the lowest ``count``
-    eigenvalues come from the first modes, the only ones solved.  l = 0
-    is sphere_swave_matching.  Returns (N, those eigenvalues ascending).
-    Raises ConvergenceFailure where a ratio is not finite: kve overflows
-    for l far above kR, and ive and kve are NaN past kR ~ 1e9.
-    """
-    from scipy.special import kve  # imported here: interval tasks never pay for it
-
-    n_swave, lam = sphere_swave_matching(alpha_tilde, R)
-    xi = float(alpha_tilde) * R
+    cancels near the threshold.  Mode 0's left side, x coth x - 1 + x, is
+    at least alpha_tilde R - 1 at k = alpha_tilde / 2, and I K falls in l,
+    so each root lies below the last, which brackets it; it is bisected to
+    adjacent floats.  Only the modes holding the lowest ``count``
+    eigenvalues are solved.  Returns (N, those eigenvalues ascending).
+    Raises ValidationError for alpha_tilde < 0, R <= 0 or an infinite
+    product, and when -k^2 overflows."""
+    at, R = float(alpha_tilde), float(R)
+    if not (at >= 0.0 and R > 0.0 and at * R < math.inf):
+        raise ValidationError(f"need alpha_tilde >= 0, R > 0 and a finite product, got ({at}, {R})")
+    xi = at * R
     bound = math.ceil(xi) // 2  # the modes l with 2l + 1 < xi
-    eigenvalues = [lam] * n_swave
-    k = math.sqrt(-lam) if n_swave else 0.0
-    for l in range(1, min(bound, math.isqrt(max(count, 1) - 1) + 1)):  # modes 0..l hold (l + 1)^2
-        nu, excess = l + 0.5, xi - (2 * l + 1)
+    eigenvalues, k = [], 0.5 * at
+    for l in range(min(bound, math.isqrt(max(count, 1) - 1) + 1)):  # modes 0..l hold (l + 1)^2
+        excess = xi - (2 * l + 1)
 
         def residual(k):  # the left side less the excess, rising through 0 at the root
-            x = k * R
-            if x == 0.0:
-                return -excess
-            k_nu = float(kve(nu, x))
-            lhs = x * (_i_ratio(nu, x) + float(kve(nu - 1, x)) / k_nu)
-            if not (math.isfinite(lhs) and k_nu < math.inf):  # k_nu = inf would read as 0
-                raise ConvergenceFailure(f"Bessel ratios of mode {l} are not finite at kR = {x}")
-            return lhs - excess
+            return _ratio_sum(l, k * R) - excess if k else -excess
 
-        if residual(k) > 0.0:  # else this root is within rounding of the last (alpha R above ~1e8)
+        if residual(k) > 0.0:  # else the root rounds to the bracket end (alpha R above ~38 for l = 0, ~1e8 after)
             k = core.bisect(residual, 0.0, k, SWAVE_TOL)
+        if k * k == math.inf:
+            raise ValidationError(f"eigenvalue -k^2 overflows at k={k}")
         eigenvalues += [-k * k] * multiplicity(3, l)
     return bound * bound, eigenvalues[:count]
 
 
-def _i_ratio(nu, x):
-    """I_{nu+1}(x) / I_nu(x) for x > 0.  Below x = nu it is the continued
-    fraction 1 / (2(nu + 1)/x + 1 / (2(nu + 2)/x + ...)) from 30 levels
-    down: each level damps the ones below it by 1/4 or more, so the
-    truncation is below 1e-18 relative, and no term cancels.  There the
-    ratio of scipy's ive loses up to 1e-13 and underflows for nu >> x;
-    above it the ive ratio is used, an underflowed ive reading NaN."""
-    from scipy.special import ive
+def _ratio_sum(l, x):
+    """x (I_{nu+1}/I_nu + K_{nu-1}/K_nu)(x), nu = l + 1/2, for x > 0, each
+    ratio to about an ulp.  Mode 0 is x coth x - 1 + x, from terms >= 0,
+    for x >= 1.  From x = 32 nu on both ratios are large-x series.  Below,
+    the K ratio comes from the forward recurrence K_{j+1/2} = K_{j-3/2} +
+    ((2j - 1)/x) K_{j-1/2} from K_{-1/2} = K_{1/2}, and x times the I ratio
+    from the continued fraction x^2 / (2(nu + 1) + x^2 / (2(nu + 2) + ...)),
+    evaluated from the bottom; their terms are positive, so nothing cancels
+    or overflows.  Fraction level j damps the error below it by
+    r_{nu+j}^2 <= (x / (nu + j + x))^2, r the I ratio, so 30 + sqrt(nu^2 +
+    60x) - nu levels truncate below 1e-18; mode 0 needs 5 + 6x below x = 1,
+    as each damps by x^2 / ((2j + 1)(2j + 3)).
+    """
+    nu = l + 0.5
+    if l == 0 and x >= 1.0:
+        return (x - 1.0) + 2.0 * x * math.exp(-2.0 * x) / -math.expm1(-2.0 * x) + x
+    if x >= 32.0 * nu:
+        return x * (_large_x_series(nu, x) + _large_x_series(-nu, -x))
+    q = 1.0
+    for b in range(1, 2 * l, 2):  # b = 2j - 1, j = 1..l
+        q = 1.0 / (q + b / x)
+    depth = 5 + int(6.0 * x) if l == 0 else 30 + int(math.sqrt(nu * nu + 60.0 * x) - nu)
+    s = 0.0
+    for b in range(2 * (l + depth) + 1, 2 * l + 2, -2):  # b = 2(nu + j), j = depth..1
+        s = x * x / (b + s)
+    return s + x * q
 
-    if x >= nu:
-        return float(ive(nu + 1, x)) / (float(ive(nu, x)) or math.nan)
-    r = 0.0
-    for j in range(30, 0, -1):
-        r = x / (2.0 * (nu + j) + x * r)
-    return r
+
+def _large_x_series(nu, x):
+    """sum_n c_n x^-n, the large-x series of I_{nu+1}(x) / I_nu(x), and at
+    (-nu, -x) of K_{nu-1}(x) / K_nu(x), for half-integer nu and x >= 32 |nu|:
+    r' = 1 - r^2 - (2 nu + 1) r / x gives c_0 = 1 and 2 c_{n+1} =
+    (n - 2 nu - 1) c_n - sum_{i=1..n} c_i c_{n+1-i}.  As |c_n| <= (4 |nu| / 3)^n
+    (checked in exact arithmetic to n = 30), 12 terms leave below 1e-17;
+    the e^{-2x} part of I, which the series drops, is below 1e-41."""
+    c = [1.0]
+    for n in range(12):
+        c.append(((n - 2.0 * nu - 1.0) * c[n] - sum(c[i] * c[n + 1 - i] for i in range(1, n + 1))) / 2.0)
+    return math.fsum(cn / x ** n for n, cn in enumerate(c))
 
 
 def swave_threshold(R=1.0, lo=0.9, hi=1.1, tol=1e-10):

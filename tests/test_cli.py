@@ -504,6 +504,27 @@ def test_interval_run_writes_single_row_spectrum(tmp_path):
     assert rep["config_sha256"] == lines[0].split("=", 1)[1]
 
 
+def test_interval_counts_the_degenerate_root_twice(tmp_path):
+    # (2, 2, 0): alpha beta = 4 gives one root with a two-dimensional kernel
+    doc = dict(INTERVAL_DOC, coupling={"alpha": 2.0, "beta": 2.0, "gamma": [0.0, 0.0]},
+               geometry={"d": 3.0})
+    code, out = run_cli(tmp_path, "interval", doc)
+    assert code == 0
+    res = json.loads((out / "report.json").read_text())["results"]
+    assert res["N"] == 2 and res["census_expected"] == 1 and res["degenerate"]
+    assert res["eigenvalues"] == [res["eigenvalues"][0]] * 2
+    assert res["ks"] == [res["ks"][0]] * 2 and res["eigenvalues"][0] == -res["ks"][0] ** 2
+    rows = (out / "spectrum.csv").read_text().splitlines()[2:]
+    assert [r.split(",", 1)[0] for r in rows] == ["1", "2"]
+    assert rows[0].split(",", 1)[1] == rows[1].split(",", 1)[1]
+    sweep = {"task": "sweep", "coupling": doc["coupling"], "geometry": {"d": 3.0},
+             "sweep": {"parameter": "alpha", "start": 1.0, "stop": 2.0, "steps": 2},
+             "solver": {"eigen_count": 3}}
+    points = sweep_points(tmp_path, sweep, "sweep")
+    assert [p["N"] for p in points] == [2, 2]  # two distinct roots at alpha = 1, one double at 2
+    assert points[1]["eigenvalues"] == res["eigenvalues"]
+
+
 def test_reports_validate_against_shipped_schema(tmp_path):
     schema = load_schema()
     docs = [

@@ -174,6 +174,14 @@ def test_padding_reported_when_spectra_are_short():
     assert v.ordering_ok
 
 
+def test_degenerate_interval_side_pads_after_its_double_root():
+    # (2, 2, 0) lists one root of multiplicity 2: both copies are compared
+    v = harness.compare_spectra(make_case("alpha_direct", 2.0, 2.0, 0.0, 2.0, d=3.0))
+    assert v.diagnostics["padded"] == [1, 2]
+    assert v.pairs[0][0] == v.pairs[1][0] < 0.0 == v.pairs[1][1]
+    assert v.ordering_ok
+
+
 def test_verdict_to_dict_is_json_shaped():
     v = harness.compare_spectra(make_case("alpha_direct", 2.0, 1.0, 0.0, 2.0))
     d = v.to_dict()

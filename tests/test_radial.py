@@ -12,7 +12,7 @@ from scipy.special import iv, kv
 
 import surfint as si
 from surfint import radial
-from surfint.errors import ConvergenceFailure, ValidationError
+from surfint.errors import ValidationError
 
 
 def geom2(R=1.0, R_out=12.0, bc="neumann", mode=0):
@@ -48,21 +48,49 @@ def test_sphere_matching_threshold_rule():
     assert radial.sphere_swave_matching(0.6, 2.0)[0] == 1
 
 
-@pytest.mark.parametrize("excess", [1e-3, 1e-6, 1e-9])
+def _swave_k_reference(at, R):
+    """The s-wave root k of (alpha/2)(1 - e^{-2kR}) = k for the same float
+    alpha and R, to 60 digits, from the root's own scale."""
+    with mpmath.workdps(60):
+        xi, R_mp = mpmath.mpf(at) * mpmath.mpf(R), mpmath.mpf(R)
+        x0 = xi - 1 if xi < 1.5 else xi / 2  # the first-order root near threshold
+        x = mpmath.findroot(lambda x: xi * -mpmath.expm1(-2 * x) / 2 - x,
+                            (x0 / 2, x0 * 1.01), solver="anderson")
+        return float(x / R_mp)
+
+
+@pytest.mark.parametrize("excess", [1e-3, 1e-6, 1e-9, 1e-12])
 def test_sphere_matching_near_threshold_against_mpmath(excess):
-    # 1 - e^{-2kR} cancels near threshold; the root must stay exact to
-    # rounding, which the cancelling form 1 - exp(-2kR) does not
-    for R in (1.0, 2.0):
+    # 1 - e^{-2kR} cancels near threshold; the ratio form of the root
+    # x coth x - 1 + x = alpha R - 1 keeps k exact to rounding
+    for R in (1.0, 2.0):  # alpha R is exact in floats
         at = (1.0 + excess) / R
         cnt, lam = radial.sphere_swave_matching(at, R)
         assert cnt == 1
-        with mpmath.workdps(50):
-            at_mp, R_mp = mpmath.mpf(at), mpmath.mpf(R)
-            # started at the first-order root; the root is simple
-            k_ref = mpmath.findroot(lambda k: at_mp / 2 * -mpmath.expm1(-2 * k * R_mp) - k,
-                                    (at_mp * R_mp - 1) / (at_mp * R_mp * R_mp),
-                                    tol=mpmath.mpf(10) ** -45)
-        assert abs(math.sqrt(-lam) - float(k_ref)) <= 1e-15
+        k_ref = _swave_k_reference(at, R)
+        assert abs(math.sqrt(-lam) - k_ref) <= 4e-16 * k_ref
+
+
+def test_sphere_matching_on_a_draw_against_mpmath():
+    # alpha R rounds by 2^-53 relative, which moves the root's k by up to
+    # alpha R / (alpha R - 1) times that
+    rng = np.random.default_rng(20)
+    for at, R in zip(rng.uniform(0.5, 6.0, 300), rng.uniform(0.5, 2.0, 300)):
+        at, R = float(at), float(R)
+        xi = at * R
+        cnt, lam = radial.sphere_swave_matching(at, R)
+        assert cnt == (xi > 1.0)
+        if cnt:
+            k_ref = _swave_k_reference(at, R)
+            assert abs(math.sqrt(-lam) - k_ref) <= 2.0 ** -50 * (1 + xi / (xi - 1)) * k_ref
+
+
+def test_sphere_matching_is_mode_zero_of_the_spectrum():
+    rng = np.random.default_rng(21)
+    for at, R in zip(rng.uniform(0.0, 40.0, 50), rng.uniform(0.1, 3.0, 50)):
+        cnt, lam = radial.sphere_swave_matching(at, R)
+        N, lams = radial.sphere_delta_spectrum(at, R, 1)
+        assert (cnt, lam) == ((1, lams[0]) if N else (0, None))
 
 
 @pytest.mark.parametrize("xi", [40.0, 100.0, 1e4])
@@ -115,15 +143,62 @@ def test_delta_sphere_spectrum_against_fd_ladders(xi):
     assert radial.sphere_delta_spectrum(xi, 1.0, 2) == (N, lams[:2])
 
 
+def _k_half(l, x):
+    """K_{l+1/2}(x) in the current mpmath precision, from its closed form
+    sqrt(pi / 2x) e^{-x} sum_k (l + k)! / (k! (l - k)! (2x)^k), whose
+    terms are all positive (mpmath's besselk takes seconds at l ~ 760)."""
+    x = mpmath.mpf(x)
+    term, total = mpmath.mpf(1), mpmath.mpf(1)
+    for k in range(l):
+        term *= mpmath.mpf((l + k + 1) * (l - k)) / ((k + 1) * 2 * x)
+        total += term
+    return mpmath.sqrt(mpmath.pi / (2 * x)) * mpmath.exp(-x) * total
+
+
+def _mode_root_reference(xi, l, x0):
+    """The root x of xi I_nu(x) K_nu(x) = 1, nu = l + 1/2, to 40 digits,
+    polished from x0."""
+    with mpmath.workdps(40):
+        nu = mpmath.mpf(l) + mpmath.mpf(1) / 2
+        return mpmath.findroot(lambda x: mpmath.mpf(xi) * mpmath.besseli(nu, x) * _k_half(l, x) - 1, x0)
+
+
 def test_delta_sphere_spectrum_brackets_where_the_product_is_finite():
-    # alpha R = 400 binds l = 0..199; near kR = 0 the product of mode 199
-    # is 0 * inf = NaN, so each lower bracket end must sit where it is finite
+    # alpha R = 400 binds l = 0..199; each bracket (0, k_{l-1}] holds
+    # mode l's root, and no ratio of the residual overflows near kR = 0;
+    # the high modes are exact to rounding (kve's ratio put them 1e-14 off)
     N, lams = radial.sphere_delta_spectrum(400.0, 1.0, 40000)
     assert N == len(lams) == 40000
     assert lams == sorted(lams) and all(math.isfinite(x) and x < 0.0 for x in lams)
-    # at kR ~ 1e9 the scaled product of mode 1 is not finite: no value is made up
-    with pytest.raises(ConvergenceFailure):
-        radial.sphere_delta_spectrum(1e10, 1.0, 2)
+    for l in (100, 150, 199):
+        x = _mode_root_reference(400.0, l, math.sqrt(-lams[l * l]))
+        assert abs(lams[l * l] + float(x * x)) <= 1e-15 * float(x * x)
+
+
+def test_delta_sphere_mode_759_against_mpmath():
+    # mode 759 of alpha R = 2000 sits at kR = 650.5; its bisection passes
+    # kR = 325.8, where kve(759.5, x) overflowed, and the recurrence for
+    # K_{nu-1}/K_nu does not
+    N, lams = radial.sphere_delta_spectrum(2000.0, 1.0, 760 ** 2 + 1)
+    assert N == 1000 ** 2 and len(lams) == 760 ** 2 + 1
+    x = _mode_root_reference(2000.0, 759, math.sqrt(-lams[759 ** 2]))
+    assert abs(lams[759 ** 2] + float(x * x)) <= 1e-15 * float(x * x)
+
+
+@pytest.mark.parametrize("l", [0, 1, 2, 3, 10, 60, 200, 759])
+def test_bessel_ratio_sum_against_mpmath(l):
+    # each branch (closed form, continued fraction and recurrence, large-x
+    # series from x = 32 nu) to about an ulp; the K recurrence keeps some
+    # rounding of each step where it barely contracts (l < x < 32 nu)
+    nu = l + 0.5
+    xs = [1e-9, 0.01, 0.3, 0.99, 1.0, 7.0, 0.5 * nu, nu, 4 * nu, 31.9 * nu, 32 * nu, 650.5, 1e6]
+    with mpmath.workdps(40):
+        nu_mp = mpmath.mpf(l) + mpmath.mpf(1) / 2
+        for x in xs:
+            i_ratio = mpmath.besseli(nu_mp + 1, x) / mpmath.besseli(nu_mp, x)
+            k_ratio = _k_half(max(l - 1, 0), x) / _k_half(l, x)  # K_{-1/2} = K_{1/2}
+            ref = x * (i_ratio + k_ratio)
+            assert abs(radial._ratio_sum(l, x) - ref) <= 6e-16 * ref, x
 
 
 @pytest.mark.parametrize("l", [1, 2])
@@ -153,11 +228,12 @@ def test_delta_sphere_each_root_below_the_previous(xi):
     assert all(a < b for a, b in zip(per_mode, per_mode[1:]))
 
 
-@pytest.mark.parametrize("xi", [5e8, 1e9])
+@pytest.mark.parametrize("xi", [5e8, 1e9, 1e10, 1e14])
 def test_delta_sphere_roots_within_rounding_of_the_last(xi):
     # 1/(I K) = 2x + (nu^2 - 1/4)/x + O(x^-3) puts mode l at
     # lambda = -xi^2/4 + l(l + 1), within rounding of mode l - 1 at this
-    # xi, where the bracket (0, k_{l-1}) need not change sign in floats
+    # xi, where the bracket (0, k_{l-1}) need not change sign in floats;
+    # past kR = 2.5e9, where scipy's ive is NaN, the large-x series holds
     N, lams = radial.sphere_delta_spectrum(xi, 1.0, 100)
     assert N == (math.ceil(xi) // 2) ** 2
     for l in range(10):
