@@ -33,7 +33,7 @@ not assumed (MeshQualityFailure otherwise).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,7 +44,7 @@ from . import core, radial
 from .errors import ConvergenceFailure, MeshQualityFailure, ValidationError
 from .report import SpectrumReport
 
-ARPACK_SHIFT = -4.0  # first shift-invert target, deepened 4x until no eigenvalue is below it
+ARPACK_SHIFT = -4.0  # default shift-invert target, deepened 4x until no eigenvalue is below it
 MIN_ANGLE_DEG = 20.0
 
 
@@ -279,6 +279,7 @@ class AssembledPencil:
     M: sp.csr_matrix
     T: sp.csr_matrix
     phase: np.ndarray
+    _reduced: list = dataclass_field(default_factory=list, init=False, repr=False, compare=False)
 
     @property
     def n_full(self):
@@ -289,7 +290,10 @@ class AssembledPencil:
         return self.T.shape[1]
 
     def reduced(self):
-        return (self.T.T @ self.K @ self.T).tocsr(), (self.T.T @ self.M @ self.T).tocsr()
+        """(T^T K T, T^T M T), formed on the first call and kept."""
+        if not self._reduced:
+            self._reduced.extend((self.T.T @ A @ self.T).tocsr() for A in (self.K, self.M))
+        return tuple(self._reduced)
 
 
 def assemble(field, mesh):
@@ -403,14 +407,15 @@ def shifted_inertia(K, M, s):
     return int(np.count_nonzero(pivots < 0.0)), lu
 
 
-def lowest_eigenpairs(pencil, count):
+def lowest_eigenpairs(pencil, count, shift=ARPACK_SHIFT, census=None):
     """Lowest eigenpairs of the reduced pencil, as physical full-DOF vectors.
 
     ARPACK shift-invert at a shift that shifted_inertia certifies is
     below every eigenvalue, reusing that factorization.  The shift starts
-    at ARPACK_SHIFT and deepens 4x; it cannot pass the Gershgorin bound
-    lambda_1 >= -||K||_inf / lambda_min(M), where lambda_min(M) >=
-    min(lumped mass) / 4 for P1 elements.
+    at ``shift`` and moves to min(4 shift, ARPACK_SHIFT) while eigenvalues
+    lie below it: always down, at least 4x deeper once negative, so the
+    loop ends at the latest past the Gershgorin bound lambda_1 >=
+    -||K||_inf / lambda_min(M), where lambda_min(M) >= min(lumped mass) / 4 for P1.
 
     A single Krylov start vector sees one copy of an exactly degenerate
     eigenvalue (the m = +-1 pairs of the circle), so ARPACK may skip the
@@ -419,6 +424,8 @@ def lowest_eigenpairs(pencil, count):
     must pass the residual check ||K x - lambda M x|| <= 1e-8 ||K x||.
     Otherwise the pairs below the top that pass are kept and the rest
     are solved again with those deflated, for at most count + 1 passes.
+    census = (s, n) says n eigenvalues lie below s; when n == count,
+    count converged pairs below s are all of them: no count at the top.
     ValidationError when count is not below n - 2 for n reduced unknowns.
     """
     K_r, M_r = pencil.reduced()
@@ -427,7 +434,7 @@ def lowest_eigenpairs(pencil, count):
         raise ValidationError(f"ARPACK finds fewer than n - 2 = {nr - 2} eigenpairs, asked for {count}")
     lumped = pencil.T.power(2).T @ np.asarray(pencil.M.sum(axis=1)).ravel()
     floor = -4.0 * abs(K_r).sum(axis=1).max() / lumped.min()
-    sigma = ARPACK_SHIFT
+    sigma = shift
     while True:
         n_below, lu = shifted_inertia(K_r, M_r, sigma)
         if n_below == 0:
@@ -435,7 +442,7 @@ def lowest_eigenpairs(pencil, count):
         if sigma < floor:
             raise ConvergenceFailure(
                 f"{n_below} eigenvalues below the Gershgorin bound {floor:.3e}")
-        sigma *= 4.0
+        sigma = min(4.0 * sigma, ARPACK_SHIFT)
     vals = np.empty(0)
     vecs = np.empty((nr, 0))
     guard = 0
@@ -448,7 +455,8 @@ def lowest_eigenpairs(pencil, count):
         top = vals[-1] - 1e-8 * max(1.0, abs(vals[-1]))
         below = vals < top
         converged = _relative_residuals(K_r, M_r, vals, vecs) <= 1e-8
-        if converged.all() and shifted_inertia(K_r, M_r, top)[0] == np.count_nonzero(below):
+        counted = census is not None and census[1] == count and vals[-1] < census[0]
+        if converged.all() and (counted or shifted_inertia(K_r, M_r, top)[0] == np.count_nonzero(below)):
             break
         # keep what is certified; solve for the rest with it deflated and
         # one guard pair, since ARPACK can stop with a residual near 1e-8
@@ -496,45 +504,42 @@ def _deflated_arpack(K_r, M_r, sigma, lu, k, found):
 def negative_spectrum_fem(field, R, R_out, h, count=6):
     """Negative FEM spectrum with an (h, R_out) refinement ladder.
 
-    Runs meshes at widths (h, h/2, h/4) at the given R_out, Richardson
-    extrapolates each tracked eigenvalue, and measures the domain
-    truncation by an extra run at (h/2, 1.5 R_out).  N is the inertia
-    count of the finest pencil below -radial.NEG_TOL, so a Neumann zero
-    mode is not a bound state.  The extrapolated values of the lowest
-    min(N, count) are reported; truncated_count says N > count.
+    Counts first: N is the inertia count of the finest pencil below
+    -radial.NEG_TOL, so a Neumann zero mode is not a bound state.  Rungs
+    at widths (h, h/2, h/4) and a wide run at (h/2, 1.5 R_out), which
+    measures the domain truncation, then solve k = min(N, count) pairs
+    each, none when k = 0, from the shift lambda_1 - 0.1 max(1, |lambda_1|)
+    of the run before (rung h from ARPACK_SHIFT); the count certifies the
+    finest rung when k = N.  Values are Richardson extrapolated, and
+    truncated_count says N > count.
     """
-    ladders = []
-    sizes = []
-    for lvl in range(3):
-        mesh = build_mesh(R, R_out, h / 2**lvl)
-        pencil = assemble(field, mesh)
-        pairs = lowest_eigenpairs(pencil, count)
-        ladders.append([lam for lam, _ in pairs])
+    finest = assemble(field, build_mesh(R, R_out, h / 4))
+    n_neg = shifted_inertia(*finest.reduced(), -radial.NEG_TOL)[0]
+    k = min(n_neg, count)
+    runs, sizes, shift = [], [], ARPACK_SHIFT
+    for lvl, r_out in ((0, R_out), (1, R_out), (2, R_out), (1, 1.5 * R_out)):
+        pencil = finest if lvl == 2 else assemble(field, build_mesh(R, r_out, h / 2**lvl))
+        vals = []
+        if k:
+            census = (-radial.NEG_TOL, n_neg) if pencil is finest else None
+            vals = [lam for lam, _ in lowest_eigenpairs(pencil, k, shift, census)]
+            shift = vals[0] - 0.1 * max(1.0, abs(vals[0]))
+        runs.append(vals)
         sizes.append(pencil.n_reduced)
-    n_neg = shifted_inertia(*pencil.reduced(), -radial.NEG_TOL)[0]  # finest pencil
-    mesh_w = build_mesh(R, 1.5 * R_out, h / 2)
-    pairs_w = lowest_eigenpairs(assemble(field, mesh_w), count)
-    wide = [lam for lam, _ in pairs_w]
-
-    eigenvalues = []
-    error_bars = []
-    for k in range(min(n_neg, count)):
-        ext, err = radial.richardson([ladders[0][k], ladders[1][k], ladders[2][k]])
-        trunc = abs(wide[k] - ladders[1][k]) if k < len(wide) else 0.0
-        eigenvalues.append(ext)
-        error_bars.append(err + trunc)
+    ladders, wide = runs[:3], runs[3]
+    fits = [radial.richardson([ladder[i] for ladder in ladders]) for i in range(k)]
     return SpectrumReport(
-        eigenvalues=tuple(eigenvalues),
+        eigenvalues=tuple(ext for ext, _ in fits),
         N=n_neg,
         tolerances={"h": h, "count": count},
         convergence={
             "h_ladder": [h, h / 2, h / 4],
-            "raw": [list(l) for l in ladders],
-            "reduced_sizes": sizes,
+            "raw": ladders,
+            "reduced_sizes": sizes[:3],
             "R_out": R_out,
             "R_out_check": 1.5 * R_out,
-            "wide_values": list(wide),
-            "error_bars": error_bars,
+            "wide_values": wide,
+            "error_bars": [err + abs(wide[i] - ladders[1][i]) for i, (_, err) in enumerate(fits)],
             "truncated_count": bool(n_neg > count),
         },
     )

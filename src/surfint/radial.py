@@ -106,11 +106,11 @@ def sphere_delta_spectrum(alpha_tilde, R, count):
     at, R = float(alpha_tilde), float(R)
     if not (at >= 0.0 and R > 0.0 and at * R < math.inf):
         raise ValidationError(f"need alpha_tilde >= 0, R > 0 and a finite product, got ({at}, {R})")
-    xi = at * R
-    bound = math.ceil(xi) // 2  # the modes l with 2l + 1 < xi
+    xi, err = at * R, _product_error(at, R)  # alpha_tilde R = xi + err exactly
+    bound = math.ceil(xi) // 2 + (xi % 2 == 1.0 and err > 0.0)  # the modes l with 2l + 1 < xi + err
     eigenvalues, k = [], 0.5 * at
     for l in range(min(bound, math.isqrt(max(count, 1) - 1) + 1)):  # modes 0..l hold (l + 1)^2
-        excess = xi - (2 * l + 1)
+        excess = (xi - (2 * l + 1)) + err  # the difference is exact near the threshold
 
         def residual(k):  # the left side less the excess, rising through 0 at the root
             return _ratio_sum(l, k * R) - excess if k else -excess
@@ -121,6 +121,15 @@ def sphere_delta_spectrum(alpha_tilde, R, count):
             raise ValidationError(f"eigenvalue -k^2 overflows at k={k}")
         eigenvalues += [-k * k] * multiplicity(3, l)
     return bound * bound, eigenvalues[:count]
+
+
+def _product_error(a, b):
+    """a b - fl(a b), exact unless it is subnormal: Dekker's two-product
+    (math.fma needs Python 3.13) of the mantissas, whose split cannot overflow."""
+    (ma, ea), (mb, eb) = math.frexp(a), math.frexp(b)
+    a1, b1 = (134217729.0 * m - (134217729.0 * m - m) for m in (ma, mb))
+    a2, b2, p = ma - a1, mb - b1, ma * mb
+    return math.ldexp(((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2, ea + eb)
 
 
 def _ratio_sum(l, x):

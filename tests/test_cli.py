@@ -634,9 +634,14 @@ def test_circle_fem_reports_the_certified_count(tmp_path):
         assert report["results"]["N"] == 6
         assert len(report["results"]["eigenvalues"]) == eigen_count
         assert report["convergence"]["truncated_count"] is truncated
+        # every rung and the wide run solve the counted pairs only
+        for values in (*report["convergence"]["raw"], report["convergence"]["wide_values"]):
+            assert len(values) == eigen_count
 
 
 def test_circle_fem_neumann_zero_mode_is_not_a_bound_state(tmp_path):
+    from surfint import fem2d
+
     doc = {"task": "circle-fem", "coupling": {"alpha": 0.0, "beta": 0.0, "gamma": [0.0, 0.0]},
            "geometry": {"R": 1.0, "h": 0.6}}
     code, out = run_cli(tmp_path, "circle-fem", doc)
@@ -644,7 +649,10 @@ def test_circle_fem_neumann_zero_mode_is_not_a_bound_state(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["results"]["N"] == 0
     assert report["results"]["eigenvalues"] == []
-    assert report["convergence"]["raw"][-1][0] > -1e-10  # the zero mode is computed
+    assert report["convergence"]["raw"] == [[], [], []] and report["convergence"]["wide_values"] == []
+    # the zero mode exists on the finest mesh (h = 0.15), and N leaves it out
+    finest = fem2d.assemble(core.uniform_field(0.0, 0.0, 0.0), fem2d.build_mesh(1.0, 3.0, 0.15))
+    assert abs(fem2d.lowest_eigenpairs(finest, 1)[0][0]) < 1e-10
 
 
 def test_task_command_mismatch_exits_two(tmp_path):

@@ -248,6 +248,8 @@ def test_negative_spectrum_report():
     assert rep.convergence["error_bars"][0] < 1e-3
     assert len(rep.convergence["raw"]) == 3
     assert not rep.convergence["truncated_count"]
+    for values in (*rep.convergence["raw"], rep.convergence["wide_values"]):
+        assert len(values) == min(rep.N, 4)
 
 
 def dense_eigenvalues(pencil, count):
@@ -321,11 +323,16 @@ def test_negative_spectrum_skips_the_neumann_zero_mode():
     # -1e-10; the fourth lowest is the zero mode at the 1e-13 level
     rep = fem2d.negative_spectrum_fem(core.delta_prime_field(1.0), 1.0, 3.0, 0.6)
     assert rep.N == 3
-    assert abs(rep.convergence["raw"][-1][3]) < 1e-10
+    finest = fem2d.assemble(core.delta_prime_field(1.0), fem2d.build_mesh(1.0, 3.0, 0.15))
+    lams = [lam for lam, _ in fem2d.lowest_eigenpairs(finest, rep.N + 1)]
+    assert lams[rep.N - 1] < -radial.NEG_TOL and abs(lams[rep.N]) < 1e-10
     assert len(rep.eigenvalues) == 3
     assert not rep.convergence["truncated_count"]
+    for values in (*rep.convergence["raw"], rep.convergence["wide_values"]):
+        assert len(values) == rep.N
     none = fem2d.negative_spectrum_fem(core.uniform_field(0.0, 0.0, 0.0), 1.0, 3.0, 0.6)
     assert none.N == 0 and none.eigenvalues == ()
+    assert none.convergence["raw"] == [[], [], []] and none.convergence["wide_values"] == []
 
 
 def test_arpack_releases_its_operator_without_a_collection(monkeypatch):
@@ -348,6 +355,65 @@ def test_arpack_releases_its_operator_without_a_collection(monkeypatch):
     finally:
         gc.enable()
     assert alive and not any(alive)
+
+
+def counted_calls(monkeypatch, name):
+    """Record each call of fem2d.spla.<name> in the returned list."""
+    calls = []
+    original = getattr(fem2d.spla, name)
+    monkeypatch.setattr(fem2d.spla, name, lambda *args, **kwargs: calls.append(name) or original(*args, **kwargs))
+    return calls
+
+
+def test_ladder_solves_only_the_counted_pairs(monkeypatch):
+    # a constrained coupling of the fem-ladder benchmark at the CLI defaults
+    # has one state: one pair per run, and at most 8 factorizations (the
+    # ladder that solved 6 pairs per run from the shift -4 made 9)
+    splu = counted_calls(monkeypatch, "splu")
+    field = core.uniform_field(1.6287179684031305, 0.0, -0.6190443992234256)
+    rep = fem2d.negative_spectrum_fem(field, 1.0, 3.0, 0.3)
+    assert rep.N == 1
+    for values in (*rep.convergence["raw"], rep.convergence["wide_values"]):
+        assert len(values) == 1
+    assert len(splu) <= 8
+    # no state: the count is the only factorization, and ARPACK never runs
+    splu.clear()
+    eigsh = counted_calls(monkeypatch, "eigsh")
+    none = fem2d.negative_spectrum_fem(core.uniform_field(0.0, 0.0, 0.0), 1.0, 3.0, 0.6)
+    assert none.N == 0 and len(splu) == 1 and not eigsh
+
+
+def ladder_couplings():
+    """Free and constrained couplings, real and complex gamma; at h = 0.6
+    and count 3 their N lies above, at and below the count."""
+    rng = np.random.default_rng(19)
+    drawn = []
+    for i in range(8):
+        gamma = complex(rng.uniform(0.0, 1.0) * np.exp(1j * rng.uniform(-np.pi, np.pi)))
+        beta = 0.0 if i % 2 else rng.uniform(0.5, 1.5)
+        drawn.append((rng.uniform(1.0, 3.0), beta, gamma.real if i % 3 == 0 else gamma))
+    return drawn
+
+
+def test_ladder_agrees_with_the_solve_from_the_default_shift():
+    count, seen = 3, set()
+    for coupling in ladder_couplings():
+        field = core.uniform_field(*coupling)
+        rep = fem2d.negative_spectrum_fem(field, 1.0, 3.0, 0.6, count=count)
+        k = min(rep.N, count)
+        seen.add((np.sign(rep.N - count), coupling[1] == 0.0))
+        runs = ((0.6, 3.0), (0.3, 3.0), (0.15, 3.0), (0.3, 4.5))
+        for (h, R_out), got in zip(runs, (*rep.convergence["raw"], rep.convergence["wide_values"])):
+            pencil = fem2d.assemble(field, fem2d.build_mesh(1.0, R_out, h))
+            want = [lam for lam, _ in fem2d.lowest_eigenpairs(pencil, count)]
+            assert len(got) == k
+            assert all(abs(a - b) <= 1e-12 * max(1.0, abs(b)) for a, b in zip(got, want))
+            if h == 0.15:  # the finest rung: N agrees with the pairs below -NEG_TOL
+                assert np.count_nonzero(np.array(want) < -radial.NEG_TOL) == k
+        # a shift above the bottom of the spectrum deepens until it is below it
+        up = [lam for lam, _ in fem2d.lowest_eigenpairs(pencil, count, 0.5)]
+        assert all(abs(a - b) <= 1e-12 * max(1.0, abs(b)) for a, b in zip(up, want))
+    assert seen == {(1, False), (0, True), (-1, True)}
 
 
 # ------------------------------------- real gauge vs complex assembly oracle

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -62,8 +63,9 @@ def _swave_k_reference(at, R):
 @pytest.mark.parametrize("excess", [1e-3, 1e-6, 1e-9, 1e-12])
 def test_sphere_matching_near_threshold_against_mpmath(excess):
     # 1 - e^{-2kR} cancels near threshold; the ratio form of the root
-    # x coth x - 1 + x = alpha R - 1 keeps k exact to rounding
-    for R in (1.0, 2.0):  # alpha R is exact in floats
+    # x coth x - 1 + x = alpha R - 1 keeps k exact to rounding, and so does
+    # the exact product when alpha R rounds (R = 0.7, 3.0)
+    for R in (1.0, 2.0, 0.7, 3.0):
         at = (1.0 + excess) / R
         cnt, lam = radial.sphere_swave_matching(at, R)
         assert cnt == 1
@@ -72,8 +74,8 @@ def test_sphere_matching_near_threshold_against_mpmath(excess):
 
 
 def test_sphere_matching_on_a_draw_against_mpmath():
-    # alpha R rounds by 2^-53 relative, which moves the root's k by up to
-    # alpha R / (alpha R - 1) times that
+    # alpha R enters as an exact two-product, so no alpha R / (alpha R - 1)
+    # amplification of its rounding reaches k
     rng = np.random.default_rng(20)
     for at, R in zip(rng.uniform(0.5, 6.0, 300), rng.uniform(0.5, 2.0, 300)):
         at, R = float(at), float(R)
@@ -82,7 +84,7 @@ def test_sphere_matching_on_a_draw_against_mpmath():
         assert cnt == (xi > 1.0)
         if cnt:
             k_ref = _swave_k_reference(at, R)
-            assert abs(math.sqrt(-lam) - k_ref) <= 2.0 ** -50 * (1 + xi / (xi - 1)) * k_ref
+            assert abs(math.sqrt(-lam) - k_ref) <= 2.0 ** -51 * k_ref
 
 
 def test_sphere_matching_is_mode_zero_of_the_spectrum():
@@ -205,18 +207,40 @@ def test_bessel_ratio_sum_against_mpmath(l):
 @pytest.mark.parametrize("eps", [1e-6, 1e-10, 1e-12, 1e-14])
 def test_delta_sphere_mode_near_threshold_against_mpmath(l, eps):
     # alpha R I K = 1 cancels at the threshold alpha R = 2l + 1; the ratio
-    # form of the root keeps its relative accuracy
-    xi = (2 * l + 1) * (1.0 + eps)
-    N, lams = radial.sphere_delta_spectrum(xi, 1.0, (l + 1) ** 2)
-    with mpmath.workdps(60):
-        xi_mp, nu = mpmath.mpf(xi), mpmath.mpf(l) + mpmath.mpf(1) / 2
-        # started at the small-x root x^2 (1/(2nu + 2) + 1/(2nu - 2)) = xi - (2l + 1)
-        x0 = mpmath.sqrt((xi_mp - (2 * l + 1)) / (1 / (2 * nu + 2) + 1 / (2 * nu - 2)))
-        x = mpmath.findroot(lambda x: xi_mp * mpmath.besseli(nu, x) * mpmath.besselk(nu, x) - 1,
-                            (0.9 * x0, 1.1 * x0), solver="anderson")
-        lam_ref = float(-x * x)
-    assert N == len(lams) and lams[l * l] == lams[-1]  # the (l + 1)^2 states end with mode l
-    assert abs(lams[-1] - lam_ref) <= 1e-15 * abs(lam_ref)
+    # form of the root keeps its relative accuracy, and the exact product
+    # keeps it when alpha R rounds (R = 0.7, 3.0)
+    for R in (1.0, 0.7, 3.0):
+        at = (2 * l + 1) * (1.0 + eps) / R
+        N, lams = radial.sphere_delta_spectrum(at, R, (l + 1) ** 2)
+        with mpmath.workdps(60):
+            xi_mp, nu = mpmath.mpf(at) * mpmath.mpf(R), mpmath.mpf(l) + mpmath.mpf(1) / 2
+            # started at the small-x root x^2 (1/(2nu + 2) + 1/(2nu - 2)) = xi - (2l + 1)
+            x0 = mpmath.sqrt((xi_mp - (2 * l + 1)) / (1 / (2 * nu + 2) + 1 / (2 * nu - 2)))
+            x = mpmath.findroot(lambda x: xi_mp * mpmath.besseli(nu, x) * mpmath.besselk(nu, x) - 1,
+                                (0.9 * x0, 1.1 * x0), solver="anderson")
+            lam_ref = float(-(x / R) ** 2)
+        assert N == len(lams) and lams[l * l] == lams[-1]  # the (l + 1)^2 states end with mode l
+        assert abs(lams[-1] - lam_ref) <= 1e-15 * abs(lam_ref)
+
+
+@pytest.mark.parametrize("l", [0, 1, 2])
+def test_delta_sphere_threshold_is_decided_by_the_exact_product(l):
+    # where alpha R rounds to 2l + 1 itself, mode l binds iff the exact
+    # product exceeds 2l + 1
+    seen = set()
+    for R in (0.7, 0.9, 1.1, 1.3, 3.0, 1.0 - 2.0 ** -53):
+        at = (2 * l + 1) / R
+        for _ in range(4):
+            at = math.nextafter(at, 0.0)
+        for _ in range(9):
+            if at * R == 2 * l + 1:
+                binds = Fraction(at) * Fraction(R) > 2 * l + 1
+                N, lams = radial.sphere_delta_spectrum(at, R, (l + 1) ** 2)
+                assert N == (l + binds) ** 2
+                assert len(lams) == N and (not binds or -1e-15 < lams[-1] < 0.0)
+                seen.add(binds)
+            at = math.nextafter(at, math.inf)
+    assert seen == {False, True}
 
 
 @pytest.mark.parametrize("xi", [4.4, 12.0, 60.5, 400.0])
