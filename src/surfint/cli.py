@@ -366,13 +366,13 @@ def _run_interval(cfg, verbose):
     prob = interval.IntervalProblem(alpha=a, beta=b, gamma=g, d=cfg.geometry["d"])
     spec = interval.negative_spectrum(prob, cfg.solver.get("k_max"))
     diag = spec.diagnostics
-    lams, ks = spec.counted(spec.eigenvalues), spec.counted(spec.ks)  # N counts a double root twice
-    rows = [(i, *row) for i, row in enumerate(zip(lams, ks, spec.counted(diag["residuals"])), start=1)]
+    lams, ks = spec.expanded(), spec.expanded(spec.ks)  # N counts a double root twice
+    rows = [(i, *row) for i, row in enumerate(zip(lams, ks, spec.expanded(diag["residuals"])), start=1)]
     results = {
         "d": cfg.geometry["d"],
         "eigenvalues": lams,
         "ks": ks,
-        "N": len(lams),
+        "N": spec.N,
         "m_interval": spec.m_interval,
         "m_infinity": _safe_m_infinity(a, b, g),
         "census_expected": diag["census_expected"],
@@ -508,8 +508,7 @@ def _run_sweep(cfg, verbose):
         a, b = at["alpha"], at["beta"]
         if backend_used == "interval-exact":
             spec = interval.negative_spectrum(interval.IntervalProblem(alpha=a, beta=b, gamma=g0, d=at["d"]))
-            lams = spec.counted(spec.eigenvalues)
-            N = len(lams)
+            N, lams = spec.N, spec.expanded()
         elif backend_used == "sphere-delta-exact":
             N, lams = radial.sphere_delta_spectrum(a, at["R"], n)
         else:

@@ -45,6 +45,7 @@ import numpy as np
 
 from . import core, interval, radial
 from .errors import CaseInapplicable, GeometryUnavailable, ValidationError
+from .report import Levels
 
 
 def _mod2(z):
@@ -225,7 +226,7 @@ def _interval_eigenvalues(coupling, d, k):
     a, b, g = coupling
     prob = interval.IntervalProblem(alpha=a, beta=b, gamma=g, d=d)
     spec = interval.negative_spectrum(prob)
-    return _pad(sorted(spec.counted(spec.eigenvalues)), k)
+    return _pad(spec.expanded(), k)
 
 
 def _fem_eigenvalues(coupling, mesh, k):
@@ -242,17 +243,17 @@ def _radial_merged_eigenvalues(coupling, params, k):
     the modes hold fewer than k."""
     field = core.uniform_field(*coupling)
     geom = radial.RadialGeometry(dimension=3, R=params["R"], R_out=params["R_out"])
-    merged = []
+    modes = []
     for mode in range(params["mode_max"] + 1):
         lam = radial.radial_mode_eigenvalues(replace(geom, mode=mode), field,
                                              params["n_grid"], count=k)
-        merged.extend(float(v) for v in lam for _ in range(radial.multiplicity(3, mode)))
-    if len(merged) < k:  # then every mode returned all its eigenvalues
+        modes.append(Levels(tuple(float(v) for v in lam), (radial.multiplicity(3, mode),) * len(lam)))
+    levels = Levels.merged(modes)
+    if levels.N < k:  # then every mode returned all its eigenvalues
         raise ValidationError(
-            f"k_count {k} exceeds the {len(merged)} eigenvalues (with multiplicity) of "
+            f"k_count {k} exceeds the {levels.N} eigenvalues (with multiplicity) of "
             f"modes 0..{params['mode_max']} at n_grid {params['n_grid']}")
-    merged.sort()
-    return merged[:k]
+    return levels.expanded()[:k]
 
 
 def _sides(case):

@@ -38,7 +38,7 @@ for every sign of alpha and beta:
 When gamma == 0 and alpha beta == 4 (within DEGENERATE_TOL) q has a
 double root: F touches the axis there without a sign change, and the
 matching matrix has a two-dimensional kernel at its k.  The root is
-listed once, with multiplicity 2.
+listed once, as one level of multiplicity 2.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ import numpy as np
 
 from .errors import ValidationError
 from . import core
+from .report import Levels
 
 DEGENERATE_TOL = 1e-12
 
@@ -80,26 +81,20 @@ class IntervalProblem:
 
 
 @dataclass(frozen=True)
-class IntervalSpectrum:
-    """Negative spectrum of an interval problem.
+class IntervalSpectrum(Levels):
+    """Negative spectrum of an interval problem: the Levels of its roots.
 
-    eigenvalues: ascending (deepest first), one per distinct root; ks: the
+    eigenvalues: ascending (deepest first), one per distinct root;
+    multiplicities: 2 on the degenerate line and 1 elsewhere; ks: the
     matching k > 0 values (descending, lambda_i = -ks_i^2); m_interval:
     min(0, lowest eigenvalue); diagnostics: the secular count of distinct
     roots (census_expected), the degeneracy flag, the k window (k_max) and
-    the residuals |F(k)| at the roots; multiplicity: that of each listed
-    root, 2 on the degenerate line and 1 elsewhere.
+    the residuals |F(k)| at the roots.
     """
 
-    eigenvalues: tuple
     ks: tuple
     m_interval: float
     diagnostics: dict
-    multiplicity: int
-
-    def counted(self, values):
-        """values, one per listed root, each repeated by its multiplicity."""
-        return [v for v in values for _ in range(self.multiplicity)]
 
 
 def characteristic_ghj(k, prob):
@@ -214,7 +209,7 @@ def secular_roots(prob):
 
 
 def expected_root_count(prob):
-    """Exact number of negative eigenvalues: the positive roots of q."""
+    """Exact number of distinct negative eigenvalues (levels): the positive roots of q."""
     return len(secular_roots(prob))
 
 
@@ -222,7 +217,7 @@ def is_degenerate(prob):
     """True when gamma == 0 and alpha*beta == 4 (within 1e-12).
 
     There q has a double root and the characteristic touches the axis
-    without a sign change; the root is listed once, with multiplicity 2.
+    without a sign change; the root is one level of multiplicity 2.
     """
     return (
         prob.gamma == 0
@@ -265,7 +260,7 @@ def negative_spectrum(prob, k_max=None):
         "residuals": tuple(abs(characteristic_scaled(k, prob)) for k in ks),
     }
     m_d = eigenvalues[0] if eigenvalues else 0.0
-    return IntervalSpectrum(eigenvalues, ks, min(0.0, m_d), diagnostics, 1 + diagnostics["degenerate"])
+    return IntervalSpectrum(eigenvalues, (1 + diagnostics["degenerate"],) * len(ks), ks, min(0.0, m_d), diagnostics)
 
 
 def m_interval(prob):

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import core
 from .errors import ConvergenceFailure, ValidationError
-from .report import SpectrumReport
+from .report import Levels, SpectrumReport
 
 OUTER_BCS = ("neumann", "dirichlet")
 NEG_TOL = 1e-10
@@ -70,13 +70,6 @@ class RadialGeometry:
             raise ValidationError(problems)
 
 
-@dataclass(frozen=True)
-class RadialSpectrum:
-    """Negative eigenvalues of one angular mode (no multiplicity applied)."""
-
-    eigenvalues: tuple
-
-
 def sphere_swave_matching(alpha_tilde, R):
     """Bound state of the attractive delta sphere in 3-D, s-wave sector:
     mode 0 of sphere_delta_spectrum, which binds iff alpha_tilde R > 1.
@@ -108,7 +101,7 @@ def sphere_delta_spectrum(alpha_tilde, R, count):
         raise ValidationError(f"need alpha_tilde >= 0, R > 0 and a finite product, got ({at}, {R})")
     xi, err = at * R, _product_error(at, R)  # alpha_tilde R = xi + err exactly
     bound = math.ceil(xi) // 2 + (xi % 2 == 1.0 and err > 0.0)  # the modes l with 2l + 1 < xi + err
-    eigenvalues, k = [], 0.5 * at
+    levels, k = [], 0.5 * at
     for l in range(min(bound, math.isqrt(max(count, 1) - 1) + 1)):  # modes 0..l hold (l + 1)^2
         excess = (xi - (2 * l + 1)) + err  # the difference is exact near the threshold
 
@@ -119,8 +112,8 @@ def sphere_delta_spectrum(alpha_tilde, R, count):
             k = core.bisect(residual, 0.0, k, SWAVE_TOL)
         if k * k == math.inf:
             raise ValidationError(f"eigenvalue -k^2 overflows at k={k}")
-        eigenvalues += [-k * k] * multiplicity(3, l)
-    return bound * bound, eigenvalues[:count]
+        levels.append(Levels((-k * k,), (multiplicity(3, l),)))
+    return bound * bound, Levels.merged(levels).expanded()[:count]
 
 
 def _product_error(a, b):
@@ -201,7 +194,7 @@ def radial_fd_spectrum(geom, field, n_grid):
 
     n_grid is the number of subintervals on EACH side of the interface,
     so doubling n_grid halves both mesh widths exactly (clean Richardson
-    ladders).  Minimum 64.  Returns a RadialSpectrum for geom.mode.
+    ladders).  Minimum 64.  Returns the Levels of geom.mode.
 
     Eigenvalues above -NEG_TOL are treated as nonnegative: a discrete
     kernel (e.g. the constant state of an uncoupled Neumann problem)
@@ -218,7 +211,7 @@ def radial_fd_spectrum(geom, field, n_grid):
     lo = float(np.min(d - np.append(e, 0.0) - np.insert(e, 0, 0.0)))
     lo -= max(1.0, 1e-12 * abs(lo))
     neg = eigvalsh_tridiagonal(d, e, select="v", select_range=(lo, -NEG_TOL), tol=STURM_TOL)
-    return RadialSpectrum(tuple(float(x) for x in neg))
+    return Levels(tuple(float(x) for x in neg), (multiplicity(geom.dimension, geom.mode),) * len(neg))
 
 
 def radial_mode_eigenvalues(geom, field, n_grid, count):
@@ -373,32 +366,24 @@ def multiplicity(dimension, mode):
 
 
 def assemble_mode_sum(geom, field, n_grid):
-    """Merge per-mode negative spectra with angular multiplicities.
+    """Merge per-mode negative spectra (Levels.merged) with angular multiplicities.
 
     Modes are swept upward until the first one with no negative
     eigenvalue (the centrifugal term is monotone in the mode, so higher
     modes are then empty too).
     """
-    per_mode = {}
-    merged = []
-    mode = 0
-    while True:
-        spec = radial_fd_spectrum(replace(geom, mode=mode), field, n_grid)
-        per_mode[mode] = spec.eigenvalues
-        if not spec.eigenvalues:
-            break
-        merged += [lam for lam in spec.eigenvalues
-                   for _ in range(multiplicity(geom.dimension, mode))]
-        mode += 1
-        if mode > 256:
+    per_mode = []  # one Levels per mode, the last one empty
+    while not per_mode or per_mode[-1].eigenvalues:
+        if len(per_mode) > 256:
             raise ConvergenceFailure("mode sweep did not terminate by mode 256")
-    merged.sort()
+        per_mode.append(radial_fd_spectrum(replace(geom, mode=len(per_mode)), field, n_grid))
+    levels = Levels.merged(per_mode)
     return SpectrumReport(
-        eigenvalues=tuple(merged),
-        N=len(merged),
+        eigenvalues=tuple(levels.expanded()),
+        N=levels.N,
         tolerances={"n_grid": int(n_grid)},
         convergence={
-            "per_mode": {str(m): list(v) for m, v in per_mode.items()},
+            "per_mode": {str(m): list(v.eigenvalues) for m, v in enumerate(per_mode)},
             "outer_bc": geom.outer_bc,
             "R_out": geom.R_out,
             "dimension": geom.dimension,

@@ -854,6 +854,8 @@ def test_interval_tasks_import_no_scipy(tmp_path):
          "sweep": {"parameter": "alpha", "start": 0.5, "stop": 2.0, "steps": 4}},
         {"task": "m-infinity", "coupling": {"alpha": 2.0, "beta": 1.0, "gamma": [0.5, 0.0]}},
         {"task": "radial-oracle", "coupling": INTERVAL_DOC["coupling"], "geometry": {"R": 1.0}},
+        {"task": "sweep", "coupling": INTERVAL_DOC["coupling"], "geometry": {"kind": "sphere", "R": 1.0},
+         "sweep": {"parameter": "R", "start": 0.8, "stop": 1.6, "steps": 3}},  # the exact delta sphere
     ]
     assert loaded_after(tmp_path, docs) == []
 

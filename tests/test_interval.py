@@ -177,12 +177,12 @@ def test_degenerate_root_has_a_two_dimensional_kernel():
     # the matching matrix loses two ranks there, and nowhere else
     for a, b, d in ((2.0, 2.0, 3.0), (1.0, 4.0, 8.0), (4.0, 1.0, 2.0)):
         sp = si.negative_spectrum(prob(a, b, 0.0, d))
-        assert len(sp.ks) == 1 and sp.multiplicity == 2
-        assert sp.counted(sp.eigenvalues) == [sp.eigenvalues[0]] * 2
+        assert len(sp.ks) == 1 and sp.multiplicities == (2,) and sp.N == 2
+        assert sp.expanded() == [sp.eigenvalues[0]] * 2
         sv = np.linalg.svd(interval.matching_matrix(sp.ks[0], prob(a, b, 0.0, d)), compute_uv=False)
         assert sv[1] > 1.0 and sv[2] < 1e-14 * sv[0]
     sp = si.negative_spectrum(prob(2.0, 1.0, 0.0, 3.0))
-    assert sp.multiplicity == 1 and sp.counted(sp.ks) == list(sp.ks)
+    assert sp.multiplicities == (1, 1) and sp.expanded(sp.ks) == list(sp.ks)
     for k in sp.ks:
         sv = np.linalg.svd(interval.matching_matrix(k, prob(2.0, 1.0, 0.0, 3.0)), compute_uv=False)
         assert sv[2] > 1e-3
