@@ -77,8 +77,6 @@ import sys
 from dataclasses import dataclass, field as dataclass_field
 from hashlib import sha256
 
-import numpy as np
-
 from . import core, harness, interval, radial
 from .errors import CaseInapplicable, ParseError, SurfintError, ValidationError
 from .report import _plain
@@ -436,6 +434,7 @@ def _run_radial_oracle(cfg, verbose):
     results = {
         "R": R,
         "threshold_product": a * R,
+        "threshold_excess": (a * R - 1.0) + radial._product_error(a, R),  # its sign decides N
         "N": count,
         "eigenvalues": [lam] if count else [],
         "m_infinity": _safe_m_infinity(a, b, g),
@@ -502,8 +501,15 @@ def _run_sweep(cfg, verbose):
     else:
         backend_used = "radial-grid"
 
+    # numpy.linspace(start, stop, steps) bit for bit: start + i * step and
+    # stop last, or start + (i / div) * delta where the step underflows to 0
+    delta, div = stop - start, max(steps - 1, 1)
+    step = delta / div
+    grid = [start + (i * step if step else i / div * delta) for i in range(steps)]
+    if steps > 1:
+        grid[-1] = stop
     rows = []
-    for value in (float(v) for v in np.linspace(start, stop, steps)):
+    for value in grid:
         at = {"alpha": a0, "beta": b0, **cfg.geometry, param: value}  # this point's parameters
         a, b = at["alpha"], at["beta"]
         if backend_used == "interval-exact":

@@ -30,8 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NonRealAlpha, ValidationError
 
 FREE = "free"
@@ -98,15 +96,17 @@ def delta_prime_field(beta_tilde):
 class ThetaMatrix:
     """Hermitian 2x2 surface-coupling matrix."""
 
-    entries: np.ndarray
+    entries: "numpy.ndarray"
     kind: str
 
     def eigenvalues(self):
+        import numpy as np
+
         return np.linalg.eigvalsh(self.entries)
 
     @property
     def is_real_symmetric(self):
-        return bool(np.max(np.abs(self.entries.imag)) == 0.0)
+        return not self.entries.imag.any()
 
 
 def theta_matrix(rc):
@@ -125,6 +125,8 @@ def theta_matrix(rc):
     The result is Hermitian for any admissible coupling and real symmetric
     exactly when gamma is real.  Complex dtype is used throughout.
     """
+    import numpy as np  # imported here: the interval tasks load no numpy
+
     a = rc.alpha
     g = complex(rc.gamma)
     cg = g.conjugate()

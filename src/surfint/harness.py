@@ -37,11 +37,10 @@ cross-check them against numerically certified eigenvalue counts.
 
 from __future__ import annotations
 
+import math
 import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field as dataclass_field, replace
-
-import numpy as np
 
 from . import core, interval, radial
 from .errors import CaseInapplicable, GeometryUnavailable, ValidationError
@@ -394,7 +393,7 @@ def bound_state_certificate(rc, geometry):
     R_out = float(geometry.get("R_out", 8.0 * R))
     n_grid = int(geometry.get("n_grid", 512))
     dim = 2 if kind == "circle" else 3
-    measure = 2.0 * np.pi * R if dim == 2 else 4.0 * np.pi * R * R
+    measure = 2.0 * math.pi * R if dim == 2 else 4.0 * math.pi * R * R
     g = complex(rc.gamma)
 
     criteria = {}
@@ -534,7 +533,7 @@ def essential_bound_check(alpha, beta, gamma, verify_interval=True):
 def _interval_limit_check(alpha, beta, gamma, m_A):
     if m_A == 0.0:
         return {"status": "skipped", "reason": "m_A = 0 has no bound state to track"}
-    k_hat = float(np.sqrt(-m_A))
+    k_hat = math.sqrt(-m_A)
     d = max(6.0, 20.0 / k_hat)
     prob = interval.IntervalProblem(alpha=alpha, beta=beta, gamma=gamma, d=d)
     lam = interval.negative_spectrum(prob).eigenvalues

@@ -44,9 +44,8 @@ listed once, as one level of multiplicity 2.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ValidationError
 from . import core
@@ -98,19 +97,16 @@ class IntervalSpectrum(Levels):
 
 
 def characteristic_ghj(k, prob):
-    """Raw factors (g, h, j) of the eigenvalue condition g = h*j.
+    """Raw factors (g, h, j) of the eigenvalue condition g = h*j at a real k.
 
-    Grows like e^{4kd}; :func:`characteristic_scaled` does not overflow.
-    All three are real for real k.
+    Grows like e^{4kd} and raises OverflowError once 4kd passes about 709;
+    :func:`characteristic_scaled` does not overflow.
     """
-    k = np.asarray(k, dtype=float)
     a, b, d = prob.alpha, prob.beta, prob.d
     g2 = abs(prob.gamma) ** 2
-    g = g2 * k * (1.0 - np.exp(4.0 * k * d))
-    h = (-2.0 * a - 4.0 * k) * np.exp(-2.0 * k * d) - 2.0 * a + 4.0 * k
-    j = np.exp(2.0 * k * d) * (1.0 + b * k / 2.0) + np.exp(4.0 * k * d) * (1.0 - b * k / 2.0)
-    if g.ndim == 0:
-        return float(g), float(h), float(j)
+    g = g2 * k * (1.0 - math.exp(4.0 * k * d))
+    h = (-2.0 * a - 4.0 * k) * math.exp(-2.0 * k * d) - 2.0 * a + 4.0 * k
+    j = math.exp(2.0 * k * d) * (1.0 + b * k / 2.0) + math.exp(4.0 * k * d) * (1.0 - b * k / 2.0)
     return g, h, j
 
 
@@ -127,16 +123,12 @@ def characteristic_scaled(k, prob):
     beta == 0 (for alpha, |gamma| fixed).  Negative eigenvalues of the
     interval operator are exactly lambda = -k^2 with F(k) = 0, k > 0.
     """
-    k = np.asarray(k, dtype=float)
     a, b, d = prob.alpha, prob.beta, prob.d
     g2 = abs(prob.gamma) ** 2
     A = (a + 2.0 * k) * (2.0 + b * k) + k * g2
     B = 4.0 * (a - b * k * k)
     C = -(a - 2.0 * k) * (-2.0 + b * k) - k * g2
-    F = A * np.exp(-4.0 * k * d) + B * np.exp(-2.0 * k * d) + C
-    if F.ndim == 0:
-        return float(F)
-    return F
+    return A * math.exp(-4.0 * k * d) + B * math.exp(-2.0 * k * d) + C
 
 
 def matching_matrix(k, prob):
@@ -147,6 +139,8 @@ def matching_matrix(k, prob):
     interaction conditions at 0, then the Neumann conditions at -d and d.
     lambda = -k^2 is an eigenvalue iff the determinant vanishes.
     """
+    import numpy as np  # imported here: the interval tasks load no numpy
+
     a, b, d = prob.alpha, prob.beta, prob.d
     g = complex(prob.gamma)
     cg = g.conjugate()
@@ -180,6 +174,8 @@ def determinant_oracle(k, prob):
     changes exactly at the zeros of the characteristic.  The imaginary
     part is a rounding artifact and is checked to be negligible.
     """
+    import numpy as np
+
     det = np.linalg.det(matching_matrix(k, prob))
     scale = abs(det) + 1e-300
     if abs(det.imag) > 1e-8 * scale:
@@ -201,7 +197,7 @@ def secular_roots(prob):
     roots = core.line_roots(a, b, prob.gamma)
     if is_degenerate(prob):
         roots = roots[:1]  # 0.5 t / beta, which is 0.5 c / beta when alpha beta == 4
-    if any(not np.finfo(float).tiny <= abs(s) < math.inf for s in roots if s != 0.0 or a != 0.0):
+    if any(not sys.float_info.min <= abs(s) < math.inf for s in roots if s != 0.0 or a != 0.0):
         raise ValidationError(
             f"a root of the secular quadratic leaves the float range: {roots} "
             f"at alpha={a}, beta={b}, |gamma|={abs(prob.gamma)}")

@@ -30,9 +30,8 @@ exactly, and its 3-D u-variant with the extra 1/R terms.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from . import core
 from .errors import ConvergenceFailure, ValidationError
@@ -42,7 +41,7 @@ OUTER_BCS = ("neumann", "dirichlet")
 NEG_TOL = 1e-10
 # bisection to full accuracy; stebz's default tolerance eps * ||T||_1
 # drifts by 1e-8 to 1e-7 on fine grids
-STURM_TOL = 2.0 * np.finfo(float).tiny
+STURM_TOL = 2.0 * sys.float_info.min
 SWAVE_TOL = 0.0  # the s-wave root is bisected until its bracket ends are adjacent floats
 
 
@@ -202,7 +201,8 @@ def radial_fd_spectrum(geom, field, n_grid):
     counted as a bound state.  Only the eigenvalues in
     (Gershgorin lower bound, -NEG_TOL] are computed.
     """
-    from scipy.linalg import eigvalsh_tridiagonal  # imported here: interval tasks load no SciPy
+    import numpy as np  # imported here: interval tasks load neither numpy nor SciPy
+    from scipy.linalg import eigvalsh_tridiagonal
 
     d, e = _mode_tridiagonal(geom, field, n_grid)
     # Gershgorin bound, moved off it: stebz searches the half-open (lo, hi].
@@ -230,6 +230,8 @@ def radial_mode_eigenvalues(geom, field, n_grid, count):
 
 def _mode_tridiagonal(geom, rc, n_grid):
     """Real symmetric tridiagonal (diag, offdiag) with the mode's spectrum."""
+    import numpy as np
+
     if n_grid < 64:
         raise ValidationError(f"n_grid must be at least 64, got {n_grid}")
     diag, off, weights = _assemble_radial(geom, rc, n_grid)
@@ -244,6 +246,8 @@ def _assemble_radial(geom, rc, n_grid):
     Node layout: inner nodes (ascending radius, last one is the inner
     trace a), then outer nodes (first one is the outer trace b).
     """
+    import numpy as np
+
     dim2 = geom.dimension == 2
     R, R_out, mode = geom.R, geom.R_out, geom.mode
     n1 = n2 = int(n_grid)
@@ -308,29 +312,18 @@ def _assemble_radial(geom, rc, n_grid):
 
 def _fold_constraint(diag, off, weights, ia, rc):
     """Replace the trace pair (a, b) = (c_i, c_e) t by the single DOF t."""
+    import numpy as np
+
     ci, ce = rc.constraint_coefficients()  # c_i + c_e = 2: never both zero
     ib = ia + 1
-    n = len(diag)
-    nd = np.zeros(n - 1)
-    no = np.zeros(n - 2, dtype=complex)
-    nw = np.zeros(n - 1)
-    nd[:ia] = diag[:ia]
-    nd[ia + 1 :] = diag[ib + 1 :]
-    nw[:ia] = weights[:ia]
-    nw[ia + 1 :] = weights[ib + 1 :]
-    no[: ia - 1] = off[: ia - 1]
-    no[ia + 1 :] = off[ib + 1 :]
+    # t takes row ia; row b and the (a, b) entry off[ia] drop out
+    nd, no, nw = np.delete(diag, ib), np.delete(off, ia), np.delete(weights, ib)
     # t row: quadratic form of the (a, b) block under (a, b) = (ci, ce) t
-    q = (
-        abs(ci) ** 2 * diag[ia]
-        + abs(ce) ** 2 * diag[ib]
-        + 2.0 * (np.conj(ci) * off[ia] * ce).real
-    )
-    nd[ia] = q
+    nd[ia] = abs(ci) ** 2 * diag[ia] + abs(ce) ** 2 * diag[ib] + 2.0 * (np.conj(ci) * off[ia] * ce).real
     nw[ia] = abs(ci) ** 2 * weights[ia] + abs(ce) ** 2 * weights[ib]
     if ia > 0:
         no[ia - 1] = off[ia - 1] * ci  # K[u_{last-1}, t]
-    if ib < n - 1:
+    if ib < len(off):
         no[ia] = np.conj(ce) * off[ib]  # K[t, v_1]
     return nd, no, nw
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 
@@ -55,20 +56,13 @@ class SpectrumReport:
 
 def _plain(obj):
     """Recursively convert numpy scalars/arrays and tuples to JSON-ready types."""
-    import numpy as np
-
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
+    np = sys.modules.get("numpy")  # no numpy object exists unless numpy is loaded
+    if np is not None and isinstance(obj, (np.ndarray, np.generic)):
+        return _plain(obj.tolist())
     return obj

@@ -9,6 +9,7 @@ import subprocess
 import sys
 
 import jsonschema
+import numpy as np
 import pytest
 
 from surfint import cli, core, radial
@@ -821,16 +822,17 @@ def test_sphere_exact_sweep_reports_every_bound_mode(tmp_path):
     assert point["N"] == 4 and point["eigenvalues"] == [float(c) for c in cells[1:5]]
 
 
-# A fresh interpreter runs the given tasks and prints the SciPy modules and
-# surfint.fem2d it has loaded: a task loads only the solver layer it runs.
-# SciPy's start-up alone costs more than a whole interval task.
+# A fresh interpreter runs the given tasks and prints the numpy and SciPy
+# modules and surfint.fem2d it has loaded: a task loads only the solver
+# layer it runs.  numpy's start-up alone costs more than an interval task,
+# and SciPy's more again.
 IMPORT_PROBE = """
 import json, os, sys
 from surfint import cli
 for i, doc in enumerate(json.loads(sys.argv[1])):
     assert cli.run(cli.parse_config(json.dumps(doc)), os.path.join(sys.argv[2], str(i))) == 0
 print(json.dumps(sorted(m for m in sys.modules
-                        if m.partition(".")[0] == "scipy" or m == "surfint.fem2d")))
+                        if m.partition(".")[0] in ("numpy", "scipy") or m == "surfint.fem2d")))
 """
 
 
@@ -892,6 +894,12 @@ def test_sweep_interval_backend(tmp_path):
     assert int(last[-2]) == 2
     rep = json.loads((out / "report.json").read_text())
     assert rep["results"]["backend"] == "interval-exact"
+    # the grid is numpy.linspace's, bit for bit, though cli loads no numpy
+    for i, (start, stop, steps) in enumerate([(0.1, 1.7, 11), (1.9, 0.2, 13), (0.3, 1.9, 1),
+                                               (1.25, 1.25, 4)]):
+        grid = dict(doc, sweep={"parameter": "alpha", "start": start, "stop": stop, "steps": steps})
+        values = [p["value"] for p in sweep_points(tmp_path, grid, f"grid{i}")]
+        assert values == np.linspace(start, stop, steps).tolist()
 
 
 def test_sweep_grid_backend_on_circle(tmp_path):
@@ -1013,6 +1021,19 @@ def test_radial_oracle_exact_value(tmp_path):
         -0.6349095705463543, abs=1e-10)
     # the s-wave root is bisected to adjacent floats, i.e. with tol 0
     assert rep["tolerances"] == {"bisect_tol": 0.0}
+
+
+@pytest.mark.parametrize("alpha, R, excess, N", [
+    (1 + 2**-52, 1 - 2**-53, 2**-53 - 2**-105, 1),  # alpha R rounds to 1 but exceeds it
+    (1.0, 1.0, 0.0, 0),
+    (1 + 2**-52, 1 - 2**-52, -(2**-104), 0),  # rounds to 1 from below
+])
+def test_radial_oracle_reports_the_exact_threshold_excess(tmp_path, alpha, R, excess, N):
+    results = task_results(tmp_path, "radial-oracle", {
+        "coupling": {"alpha": alpha, "beta": 0.0, "gamma": [0.0, 0.0]}, "geometry": {"R": R}}, "out")
+    assert results["threshold_product"] == 1.0
+    assert results["threshold_excess"] == excess  # alpha R - 1 exactly; its sign decides N
+    assert results["N"] == N
 
 
 def test_sphere_task_matches_oracle(tmp_path):
