@@ -41,7 +41,11 @@ gamma*) and every task takes output (dir):
                    geometry* kind*, R*, R_out, n_grid
     sweep          one coupling/geometry parameter swept over a range;
                    each point is the interval solve, the exact delta
-                   sphere or the sphere task's mode sum (2-D on a circle)
+                   sphere (a pure delta sphere swept in alpha or R), the
+                   exact Dirichlet-to-Neumann census on a circle or
+                   sphere (backend auto or exact), or with backend
+                   "grid" the sphere task's FD mode sum (2-D on a
+                   circle), the only reader of n_grid, outer_bc, R_out
                    geometry* d* (interval) or kind*, R*, R_out;
                    sweep* parameter*, start*, stop*, steps*;
                    solver: n_grid, eigen_count, outer_bc, backend
@@ -259,8 +263,11 @@ def _walk_list(items, spec, path, problems):
 
 
 def _check_sweep(geometry, values, problems):
-    """Mark an interval sweep; tie the swept parameter and the radial
-    solver keys to the geometry."""
+    """Refuse a range whose width overflows; mark an interval sweep; tie
+    the swept parameter and the radial solver keys to the geometry."""
+    span = values.get("sweep", {})
+    if "start" in span and "stop" in span and math.isinf(span["stop"] - span["start"]):
+        problems.append(f"sweep.stop - sweep.start overflows: {span['stop']} - {span['start']}")
     if not isinstance(geometry, dict):
         return
     on_interval = "d" in geometry
@@ -488,18 +495,14 @@ def _run_sweep(cfg, verbose):
     kind = cfg.geometry["kind"]
     backend = cfg.solver.get("backend", "auto")
 
-    pure_delta = b0 == 0.0 and complex(g0) == 0 and param in ("alpha", "R")
-    exact_ok = kind == "interval" or (kind == "sphere" and pure_delta)
-    if backend == "exact" and not exact_ok:
-        raise ValidationError(
-            "solver.backend 'exact' needs interval geometry or a pure delta "
-            "coupling on the sphere with the swept parameter alpha or R")
     if kind == "interval":
         backend_used = "interval-exact"
-    elif exact_ok and backend != "grid":
-        backend_used = "sphere-delta-exact"
-    else:
+    elif backend == "grid":
         backend_used = "radial-grid"
+    elif kind == "sphere" and b0 == 0.0 and complex(g0) == 0 and param in ("alpha", "R"):
+        backend_used = "sphere-delta-exact"  # every point a pure delta sphere
+    else:
+        backend_used = "radial-exact"
 
     # numpy.linspace(start, stop, steps) bit for bit: start + i * step and
     # stop last, or start + (i / div) * delta where the step underflows to 0
@@ -508,6 +511,7 @@ def _run_sweep(cfg, verbose):
     grid = [start + (i * step if step else i / div * delta) for i in range(steps)]
     if steps > 1:
         grid[-1] = stop
+    dimension = 2 if kind == "circle" else 3
     rows = []
     for value in grid:
         at = {"alpha": a0, "beta": b0, **cfg.geometry, param: value}  # this point's parameters
@@ -517,8 +521,11 @@ def _run_sweep(cfg, verbose):
             N, lams = spec.N, spec.expanded()
         elif backend_used == "sphere-delta-exact":
             N, lams = radial.sphere_delta_spectrum(a, at["R"], n)
+        elif backend_used == "radial-exact":
+            N, levels = radial.dtn_census(dimension, core.uniform_field(a, b, g0), at["R"], n)
+            lams = levels.expanded()
         else:
-            rep = _mode_sum(cfg, 2 if kind == "circle" else 3, (a, b, g0), at["R"], 256)
+            rep = _mode_sum(cfg, dimension, (a, b, g0), at["R"], 256)
             N, lams = rep.N, rep.eigenvalues
         lams = list(lams[:n])
         rows.append((value, lams + [None] * (n - len(lams)), N, _safe_m_infinity(a, b, g0)))

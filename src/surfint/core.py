@@ -109,39 +109,39 @@ class ThetaMatrix:
         return not self.entries.imag.any()
 
 
-def theta_matrix(rc):
-    """Surface-coupling matrix Theta of the coupling ``rc``.
+def theta_entries(rc):
+    """The three scalars (Theta_11, Theta_12, Theta_22) of the surface
+    matrix of ``rc``; Theta_21 is conj(Theta_12).
 
     For a free coupling (beta != 0):
 
-        Theta = [[ |1+g/2|^2/b + a/4,  (cg/2-1)(1+g/2)/b + a/4 ],
-                 [ (g/2-1)(1+cg/2)/b + a/4,  |1-g/2|^2/b + a/4 ]]
+        Theta_11 = |1+g/2|^2/b + a/4,   Theta_22 = |1-g/2|^2/b + a/4,
+        Theta_12 = (cg/2-1)(1+g/2)/b + a/4
 
-    with a = alpha, b = beta, g = gamma, cg = conj(gamma).  For a
-    constrained coupling (beta == 0) the matrix collapses to (alpha/4) times
-    the all-ones matrix; gamma then acts only through the trace
-    constraint, not through Theta.
+    with a = alpha, b = beta, g = gamma, cg = conj(gamma), so that
+    det Theta = a/b.  For a constrained coupling (beta == 0) every entry
+    is alpha/4; gamma then acts only through the trace constraint.  The
+    diagonal is real, Theta_12 complex.
+    """
+    a = rc.alpha
+    if rc.kind == CONSTRAINED:
+        return a / 4.0, complex(a / 4.0), a / 4.0
+    g, b = complex(rc.gamma), rc.beta
+    cg = g.conjugate()
+    return abs(1 + g / 2) ** 2 / b + a / 4, (cg / 2 - 1) * (1 + g / 2) / b + a / 4, abs(1 - g / 2) ** 2 / b + a / 4
+
+
+def theta_matrix(rc):
+    """Surface-coupling matrix Theta of the coupling ``rc``, from
+    :func:`theta_entries`.
 
     The result is Hermitian for any admissible coupling and real symmetric
     exactly when gamma is real.  Complex dtype is used throughout.
     """
     import numpy as np  # imported here: the interval tasks load no numpy
 
-    a = rc.alpha
-    g = complex(rc.gamma)
-    cg = g.conjugate()
-    if rc.kind == CONSTRAINED:
-        ent = (a / 4.0) * np.ones((2, 2), dtype=complex)
-        return ThetaMatrix(ent, rc.kind)
-    b = rc.beta
-    ent = np.array(
-        [
-            [abs(1 + g / 2) ** 2 / b + a / 4, (cg / 2 - 1) * (1 + g / 2) / b + a / 4],
-            [(g / 2 - 1) * (1 + cg / 2) / b + a / 4, abs(1 - g / 2) ** 2 / b + a / 4],
-        ],
-        dtype=complex,
-    )
-    return ThetaMatrix(ent, rc.kind)
+    t11, t12, t22 = theta_entries(rc)
+    return ThetaMatrix(np.array([[t11, t12], [t12.conjugate(), t22]], dtype=complex), rc.kind)
 
 
 def line_roots(alpha, beta, gamma):

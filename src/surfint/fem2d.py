@@ -485,16 +485,20 @@ def _deflated_arpack(K_r, M_r, sigma, lu, k, found):
 
     lu factors K - sigma M with sigma below the spectrum, so the largest
     eigenvalues of (K - sigma M)^-1 M are the lowest of the pencil.
+    With no columns in found the projection is z - 0 = z, so lu.solve
+    serves as it is.
     """
-    m_found = M_r @ found
-    gram = found.T @ m_found
-
-    def deflate(z):  # M-orthogonal projection onto the complement of found
-        return z - found @ np.linalg.solve(gram, m_found.T @ z)
-
-    op_inv = spla.LinearOperator(K_r.shape, matvec=lambda y: deflate(lu.solve(y)), dtype=K_r.dtype)
     rng = np.random.default_rng(0)  # deterministic, and without the mesh's symmetry
-    v0 = deflate(rng.standard_normal(K_r.shape[0]))
+    matvec, v0 = lu.solve, rng.standard_normal(K_r.shape[0])
+    if found.shape[1]:
+        m_found = M_r @ found
+        gram = found.T @ m_found
+
+        def deflate(z):  # M-orthogonal projection onto the complement of found
+            return z - found @ np.linalg.solve(gram, m_found.T @ z)
+
+        matvec, v0 = lambda y: deflate(lu.solve(y)), deflate(v0)
+    op_inv = spla.LinearOperator(K_r.shape, matvec=matvec, dtype=K_r.dtype)
     try:
         return spla.eigsh(K_r, k=k, M=M_r, sigma=sigma, which="LM", v0=v0, OPinv=op_inv, rng=rng)
     except spla.ArpackNoConvergence as exc:

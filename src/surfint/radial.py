@@ -43,6 +43,7 @@ NEG_TOL = 1e-10
 # drifts by 1e-8 to 1e-7 on fine grids
 STURM_TOL = 2.0 * sys.float_info.min
 SWAVE_TOL = 0.0  # the s-wave root is bisected until its bracket ends are adjacent floats
+MODE_LIMIT = 1 << 16  # dtn_census refuses a coupling that binds beyond this angular mode
 
 
 @dataclass(frozen=True)
@@ -115,6 +116,99 @@ def sphere_delta_spectrum(alpha_tilde, R, count):
     return bound * bound, Levels.merged(levels).expanded()[:count]
 
 
+def dtn_census(dimension, field, R, count):
+    """Exact bound states of a uniform coupling on the circle (dimension 2)
+    or sphere (3) r = R in the whole space: (N, Levels of the lowest
+    ``count`` eigenvalues, the last level perhaps past count).
+
+    Angular mode m binds -k^2 iff D(k) - Theta is singular (free coupling),
+    or iff c^H (D(k) - Theta) c = 0, c = constraint_coefficients() and
+    c^H Theta c = alpha (constrained coupling).  D is the Dirichlet-to-
+    Neumann map of the two sides,
+
+        R D(k) = diag(p + x I_{nu+1}/I_nu, q + x K_{nu-1}/K_nu)(x),   x = kR,
+
+    with nu = m and (p, q) = (m, m) in 2-D, nu = m + 1/2 and (p, q) = (m,
+    m + 1) in 3-D (_ratios).  D rises with k and with the mode, so each
+    eigenvalue branch of D(k) - Theta rises strictly with k: the mode
+    binds as many states as D(0+) - Theta has negative eigenvalues, and
+    the root of each branch falls from mode to mode.  The 2x2 determinant
+    uses det Theta = alpha/beta, so a zero that is structural (2-D mode 0
+    at alpha = 0) stays exact.
+
+    Termination.  The count runs up from mode 0 and stops at the first
+    mode that binds nothing, by mode floor(R s) + 1 at the latest, s the
+    largest root of core.line_roots (Theta's largest eigenvalue, or
+    alpha/c for a constrained coupling); R s must be below MODE_LIMIT.
+    Then the lowest levels are taken one per pass, at most N passes: the
+    head of branch 0 (the deeper root of a mode) is bisected, and the
+    head of branch 1 only when its sign at that k says it lies deeper.
+    Each root is bisected on (0, hi] to adjacent floats, about 53 +
+    log2(hi/k) halvings and never more than the float range allows (core.
+    bisect): hi is the root before it on its branch, the branch-0 root of
+    its mode for branch 1, or 4 max(s, 1/R) for mode 0, past which both
+    ratios exceed 3x/4 and D - Theta is positive definite.
+
+    Raises ValidationError for R outside (0, inf), an R s beyond
+    MODE_LIMIT, and an eigenvalue -k^2 to be reported outside the normal
+    float range (it is never reported as -0.0 or -inf).
+    """
+    R = float(R)
+    if not (dimension in (2, 3) and 0.0 < R < math.inf):
+        raise ValidationError(f"need dimension 2 or 3 and 0 < R < inf, got ({dimension}, {R})")
+    s = max(core.line_roots(field.alpha, field.beta, field.gamma))
+    if not R * s < MODE_LIMIT:  # an infinite or NaN root included
+        raise ValidationError(f"the coupling binds up to mode R s = {R * s:.6g}, beyond {MODE_LIMIT}")
+    if field.kind == core.CONSTRAINED:
+        wi, we = (abs(c) ** 2 for c in field.constraint_coefficients())
+        aR, aR_err = field.alpha * R, _product_error(field.alpha, R)  # alpha R exactly, as for the delta sphere
+    else:
+        t11, t12, t22 = core.theta_entries(field)
+        det_theta, b = field.alpha / field.beta, R * abs(t12)
+
+    def branches(mode, x):  # the eigenvalues of R (D - Theta), ascending, or c^H R (D - Theta) c
+        p, q = (mode, mode) if dimension == 2 else (mode, mode + 1)
+        xr, xq = _ratios(mode + 0.5 * (dimension - 2), x)
+        if field.kind == core.CONSTRAINED:
+            return (((wi * p + we * q - aR) - aR_err) + (wi * xr + we * xq),)
+        P, Q = p - R * t11, q - R * t22
+        A, C = P + xr, Q + xq
+        det = (p * q - R * (p * t22 + q * t11) + R * R * det_theta) + xr * C + xq * P
+        mean, half = 0.5 * (A + C), math.hypot(0.5 * (A - C), b)
+        return (mean - half if mean <= 0.0 else det / (mean + half),
+                mean + half if mean >= 0.0 else det / (mean - half))
+
+    counts = []
+    while not counts or counts[-1]:
+        counts.append(sum(mu < 0.0 for mu in branches(len(counts), 0.0)))
+    chains = [[m for m, n in enumerate(counts) if n > j] for j in (0, 1)]
+    found, last = {}, [4.0 * max(s, 1.0 / R)] * 2
+
+    def solve(mode, j):  # the root of branch j in this mode
+        hi = min(last[j], found.get((mode, 0), math.inf))
+
+        def residual(k):
+            return branches(mode, k * R)[j]
+
+        k = core.bisect(residual, 0.0, hi, 0.0) if residual(hi) > 0.0 else hi  # else it rounds to hi
+        if not sys.float_info.min <= k * k < math.inf:
+            raise ValidationError(f"eigenvalue -k^2 leaves the normal float range at k={k!r} (mode {mode})")
+        found[mode, j] = last[j] = k
+        return k
+
+    levels, taken, heads = [], 0, [0, 0]
+    while taken < count and (live := [j for j in (0, 1) if heads[j] < len(chains[j])]):
+        j = live[0]
+        mode = chains[j][heads[j]]
+        k = found[mode, j] if (mode, j) in found else solve(mode, j)
+        if len(live) == 2 and branches(chains[1][heads[1]], k * R)[1] < 0.0:  # branch 1's head lies deeper
+            j, mode = 1, chains[1][heads[1]]
+            k = solve(mode, 1)
+        levels.append(Levels((-k * k,), (multiplicity(dimension, mode),)))
+        taken, heads[j] = taken + multiplicity(dimension, mode), heads[j] + 1
+    return sum(multiplicity(dimension, m) * n for m, n in enumerate(counts)), Levels.merged(levels)
+
+
 def _product_error(a, b):
     """a b - fl(a b), exact unless it is subnormal: Dekker's two-product
     (math.fma needs Python 3.13) of the mantissas, whose split cannot overflow."""
@@ -125,40 +219,88 @@ def _product_error(a, b):
 
 
 def _ratio_sum(l, x):
-    """x (I_{nu+1}/I_nu + K_{nu-1}/K_nu)(x), nu = l + 1/2, for x > 0, each
-    ratio to about an ulp.  Mode 0 is x coth x - 1 + x, from terms >= 0,
-    for x >= 1.  From x = 32 nu on both ratios are large-x series.  Below,
-    the K ratio comes from the forward recurrence K_{j+1/2} = K_{j-3/2} +
-    ((2j - 1)/x) K_{j-1/2} from K_{-1/2} = K_{1/2}, and x times the I ratio
-    from the continued fraction x^2 / (2(nu + 1) + x^2 / (2(nu + 2) + ...)),
-    evaluated from the bottom; their terms are positive, so nothing cancels
-    or overflows.  Fraction level j damps the error below it by
-    r_{nu+j}^2 <= (x / (nu + j + x))^2, r the I ratio, so 30 + sqrt(nu^2 +
-    60x) - nu levels truncate below 1e-18; mode 0 needs 5 + 6x below x = 1,
-    as each damps by x^2 / ((2j + 1)(2j + 3)).
-    """
+    """x (I_{nu+1}/I_nu + K_{nu-1}/K_nu)(x), nu = l + 1/2, for x > 0: the
+    sum of _ratios, except that from x = 32 nu on (l >= 1) it sums the two
+    large-x series before it scales them by x."""
     nu = l + 0.5
-    if l == 0 and x >= 1.0:
-        return (x - 1.0) + 2.0 * x * math.exp(-2.0 * x) / -math.expm1(-2.0 * x) + x
-    if x >= 32.0 * nu:
+    if l and x >= 32.0 * nu:
         return x * (_large_x_series(nu, x) + _large_x_series(-nu, -x))
-    q = 1.0
-    for b in range(1, 2 * l, 2):  # b = 2j - 1, j = 1..l
+    xr, xq = _ratios(nu, x)
+    return xr + xq
+
+
+def _ratios(nu, x):
+    """(x I_{nu+1}/I_nu, x K_{nu-1}/K_nu)(x) for x >= 0 and nu an integer or
+    half-integer >= 0, each to a few ulp (checked against mpmath for x from
+    1e-300 to 1e3); both are 0 at x = 0.  For nu = 1/2 and x >= 1 they are
+    x coth x - 1, from terms >= 0, and x.  From x = 32 max(nu, 2) on both
+    are large-x series.  Below, the K ratio comes from the forward
+    recurrence K_{nu+1} = K_{nu-1} + (2 nu / x) K_nu, from K_{-1/2} =
+    K_{1/2} or from _k1_k0, and x times the I ratio from the continued
+    fraction x^2 / (2(nu + 1) + x^2 / (2(nu + 2) + ...)), evaluated from
+    the bottom; their terms are positive, so nothing cancels or overflows.
+    Fraction level j damps the error below it by r_{nu+j}^2 <= (x / (nu + j
+    + x))^2, r the I ratio, so 30 + sqrt(nu^2 + 60x) - nu levels truncate
+    below 1e-18; nu = 1/2 needs 5 + 6x below x = 1, as each damps by x^2 /
+    ((2j + 1)(2j + 3)).
+    """
+    if x == 0.0:
+        return 0.0, 0.0
+    if nu == 0.5 and x >= 1.0:
+        return (x - 1.0) + 2.0 * x * math.exp(-2.0 * x) / -math.expm1(-2.0 * x), x
+    if x >= 32.0 * max(nu, 2.0):
+        return x * _large_x_series(nu, x), x * _large_x_series(-nu, -x)
+    two_nu = int(2.0 * nu)
+    q = 1.0 if two_nu % 2 else _k1_k0(x) / x  # K_{nu-1}/K_nu at the lowest nu, 1/2 or 0
+    for b in range(two_nu % 2, two_nu, 2):  # b = 2 nu' for nu' = nu mod 1 .. nu - 1
         q = 1.0 / (q + b / x)
-    depth = 5 + int(6.0 * x) if l == 0 else 30 + int(math.sqrt(nu * nu + 60.0 * x) - nu)
-    s = 0.0
-    for b in range(2 * (l + depth) + 1, 2 * l + 2, -2):  # b = 2(nu + j), j = depth..1
-        s = x * x / (b + s)
-    return s + x * q
+    depth = 5 + int(6.0 * x) if nu == 0.5 else 30 + int(math.sqrt(nu * nu + 60.0 * x) - nu)
+    xx, s = x * x, 0.0
+    for b in range(two_nu + 2 * depth, two_nu, -2):  # b = 2(nu + j), j = depth..1
+        s = xx / (b + s)
+    return s, x * q
+
+
+LN2_MINUS_EULER = 0.11593151565841244881  # ln 2 - Euler's gamma
+
+
+def _k1_k0(x):
+    """x K_1(x) / K_0(x) for 0 < x < 64, to about 2 ulp (checked against
+    mpmath).  Below x = 1 it is Temme's series at order 0: K_0 = sum_i
+    c_i f_i and x K_1 = 1 + 2 sum_{i>=1} c_i (p_i - i f_i), with c_i =
+    (x^2/4)^i / i!, p_i = 1/(2 i!) and f_0 = ln(2/x) - gamma > 0.  Its
+    terms fall like (x^2/4)^i / i!^2, below 1e-21 of the sums past i = 11.
+    From x = 1 it is Steed's CF2, x K_1/K_0 = x + 1/2 - (1/4) / (2(x + 1)
+    - (3/2)^2 / (2(x + 2) - (5/2)^2 / ...)), evaluated from the bottom with
+    6 + 54/x levels; on 400 points from 1 to 64, five more levels leave
+    its value unchanged.
+    """
+    if x < 1.0:
+        f = LN2_MINUS_EULER - math.log(x)
+        c, p, k0, k1, y = 1.0, 0.5, f, 0.5, 0.25 * x * x
+        for i in range(1, 12):
+            f = (i * f + 2.0 * p) / (i * i)
+            c *= y / i
+            p /= i
+            k0 += c * f
+            k1 += c * (p - i * f)
+        return 2.0 * k1 / k0
+    t, two_x = 0.0, 2.0 * x
+    for i in range(6 + int(54.0 / x), 1, -1):
+        t = (i - 0.5) * (0.5 - i) / (two_x + 2 * i + t)
+    return x + 0.5 - 0.25 / (two_x + 2.0 + t)
 
 
 def _large_x_series(nu, x):
     """sum_n c_n x^-n, the large-x series of I_{nu+1}(x) / I_nu(x), and at
-    (-nu, -x) of K_{nu-1}(x) / K_nu(x), for half-integer nu and x >= 32 |nu|:
-    r' = 1 - r^2 - (2 nu + 1) r / x gives c_0 = 1 and 2 c_{n+1} =
-    (n - 2 nu - 1) c_n - sum_{i=1..n} c_i c_{n+1-i}.  As |c_n| <= (4 |nu| / 3)^n
-    (checked in exact arithmetic to n = 30), 12 terms leave below 1e-17;
-    the e^{-2x} part of I, which the series drops, is below 1e-41."""
+    (-nu, -x) of K_{nu-1}(x) / K_nu(x), for x >= 32 |nu| and, for integer
+    nu, x >= 64: r' = 1 - r^2 - (2 nu + 1) r / x gives c_0 = 1 and 2 c_{n+1} =
+    (n - 2 nu - 1) c_n - sum_{i=1..n} c_i c_{n+1-i}.  For half-integer nu,
+    |c_n| <= (4 |nu| / 3)^n (checked in exact arithmetic to n = 30), so 12
+    terms leave below 1e-17, and the e^{-2x} part of I, which the series
+    drops, is below 1e-41.  For integer nu the series is only asymptotic;
+    from x = max(64, 32 |nu|) its 13th term is below 3e-19 (checked in exact
+    arithmetic to |nu| = 80, and the sums against mpmath)."""
     c = [1.0]
     for n in range(12):
         c.append(((n - 2.0 * nu - 1.0) * c[n] - sum(c[i] * c[n + 1 - i] for i in range(1, n + 1))) / 2.0)

@@ -324,6 +324,12 @@ PROBLEM_CASES = [
          "sweep.parameter 'R' needs circle or sphere geometry"],
         id="sweep-interval-bad-n-grid"),
     pytest.param(
+        {"task": "sweep", "coupling": COUPLING, "geometry": {"d": 2.0},
+         "sweep": {"parameter": "alpha", "start": -1e308, "stop": 1e308, "steps": 3}},
+        ValidationError,
+        ["sweep.stop - sweep.start overflows: 1e+308 - -1e+308"],
+        id="sweep-range-overflows"),
+    pytest.param(
         {"task": "sweep", "coupling": COUPLING,
          "geometry": {"kind": "sphere", "R": 1.0, "R_out": 0.5},
          "sweep": {"parameter": "d", "start": 0.5, "stop": 1.0, "steps": 3.0}},
@@ -858,6 +864,10 @@ def test_interval_tasks_import_no_scipy(tmp_path):
         {"task": "radial-oracle", "coupling": INTERVAL_DOC["coupling"], "geometry": {"R": 1.0}},
         {"task": "sweep", "coupling": INTERVAL_DOC["coupling"], "geometry": {"kind": "sphere", "R": 1.0},
          "sweep": {"parameter": "R", "start": 0.8, "stop": 1.6, "steps": 3}},  # the exact delta sphere
+        *({"task": "sweep", "coupling": {"alpha": 2.0, "beta": 1.0, "gamma": [0.5, 0.5]},
+           "geometry": {"kind": kind, "R": 1.0},
+           "sweep": {"parameter": "alpha", "start": 1.0, "stop": 2.0, "steps": 3}}
+          for kind in ("circle", "sphere")),  # the census of free couplings
     ]
     assert loaded_after(tmp_path, docs) == []
 
@@ -908,7 +918,7 @@ def test_sweep_grid_backend_on_circle(tmp_path):
            "geometry": {"kind": "circle", "R": 1.0, "R_out": 8.0},
            "sweep": {"parameter": "beta", "start": 1.0, "stop": 2.0,
                      "steps": 3},
-           "solver": {"n_grid": 256, "eigen_count": 1}}
+           "solver": {"n_grid": 256, "eigen_count": 1, "backend": "grid"}}
     code, out = run_cli(tmp_path, "sweep", doc)
     assert code == 0
     rep = json.loads((out / "report.json").read_text())
@@ -916,7 +926,9 @@ def test_sweep_grid_backend_on_circle(tmp_path):
     assert all(p["N"] >= 1 for p in rep["results"]["points"])
 
 
-def test_sweep_exact_backend_refuses_mismatch(tmp_path):
+def test_sweep_exact_backend_runs_the_census(tmp_path):
+    # backend "exact" is the census on any uniform coupling, as "auto" is;
+    # the delta' circle binds in the modes m < 2R/beta, exactly none at m = 2R/beta
     doc = {"task": "sweep",
            "coupling": {"alpha": 0.0, "beta": 2.0, "gamma": [0.0, 0.0]},
            "geometry": {"kind": "circle", "R": 1.0},
@@ -924,9 +936,11 @@ def test_sweep_exact_backend_refuses_mismatch(tmp_path):
                      "steps": 3},
            "solver": {"backend": "exact"}}
     code, out = run_cli(tmp_path, "sweep", doc)
-    assert code == 2
-    err = json.loads((out / "error.json").read_text())
-    assert "backend" in err["detail"]
+    assert code == 0
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["results"]["backend"] == "radial-exact"
+    assert [p["N"] for p in rep["results"]["points"]] == [3, 3, 1]
+    assert rep["results"]["points"] == sweep_points(tmp_path, dict(doc, solver={}), "auto")
 
 
 def sweep_points(tmp_path, doc, out):
@@ -960,7 +974,7 @@ def test_sphere_grid_sweep_point_is_the_sphere_task(tmp_path):
     solver = {"n_grid": 128, "outer_bc": "dirichlet"}
     doc = {"task": "sweep", "coupling": coupling, "geometry": geometry,
            "sweep": {"parameter": "R", "start": 0.8, "stop": 1.6, "steps": 3},
-           "solver": dict(solver, eigen_count=20)}
+           "solver": dict(solver, eigen_count=20, backend="grid")}
     for i, point in enumerate(sweep_points(tmp_path, doc, "sweep")):
         single = task_results(tmp_path, "sphere", {
             "coupling": coupling, "geometry": {"R": point["value"], "R_out": 5.0},
@@ -974,7 +988,7 @@ def test_circle_grid_sweep_point_is_the_mode_sum(tmp_path):
     doc = {"task": "sweep", "coupling": {"alpha": 0.0, "beta": 2.0, "gamma": [0.0, 0.5]},
            "geometry": {"kind": "circle", "R": 1.0},
            "sweep": {"parameter": "beta", "start": 1.0, "stop": 3.0, "steps": 3},
-           "solver": {"n_grid": 128, "eigen_count": 2}}
+           "solver": {"n_grid": 128, "eigen_count": 2, "backend": "grid"}}
     for point in sweep_points(tmp_path, doc, "sweep"):
         beta = point["value"]
         rep = radial.assemble_mode_sum(radial.RadialGeometry(2, 1.0, 8.0),
@@ -982,6 +996,31 @@ def test_circle_grid_sweep_point_is_the_mode_sum(tmp_path):
         assert point["eigenvalues"] == list(rep.eigenvalues[:2])
         assert point["N"] == rep.N
         assert point["m_A"] == core.m_infinity(0.0, beta, 0.5j)
+
+
+@pytest.mark.parametrize("kind, coupling, param, start, stop", [
+    ("circle", {"alpha": 1.3, "beta": 1.0, "gamma": [0.3, 0.4]}, "beta", 1.0, 2.5),
+    ("sphere", {"alpha": 1.0, "beta": 1.0, "gamma": [0.2, 0.5]}, "alpha", 1.0, 2.5),
+    ("circle", {"alpha": 0.5, "beta": 0.0, "gamma": [0.0, 0.0]}, "R", 0.5, 3.0),  # Simon's weak binding
+    ("sphere", {"alpha": 4.4, "beta": 0.0, "gamma": [0.5, -0.5]}, "R", 0.5, 1.5),
+    ("sphere", {"alpha": 2.0, "beta": 0.0, "gamma": [0.0, 0.0]}, "beta", -1.0, 1.0),
+])
+def test_auto_sweep_point_is_the_census(tmp_path, kind, coupling, param, start, stop):
+    doc = {"task": "sweep", "coupling": coupling, "geometry": {"kind": kind, "R": 1.0},
+           "sweep": {"parameter": param, "start": start, "stop": stop, "steps": 4},
+           "solver": {"eigen_count": 4, "n_grid": 64, "outer_bc": "dirichlet"}}  # read by "grid" only
+    code, out = run_cli(tmp_path, "sweep", doc)
+    assert code == 0
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["results"]["backend"] == "radial-exact"
+    g = complex(*coupling["gamma"])
+    for point in rep["results"]["points"]:
+        at = {**coupling, "R": 1.0, param: point["value"]}
+        N, levels = radial.dtn_census(2 if kind == "circle" else 3,
+                                      core.uniform_field(at["alpha"], at["beta"], g), at["R"], 4)
+        assert point["N"] == N >= 1
+        assert point["eigenvalues"] == levels.expanded()[:4]
+        assert point["m_A"] == cli._safe_m_infinity(at["alpha"], at["beta"], g)
 
 
 def test_exact_sphere_sweep_point_is_the_delta_spectrum(tmp_path):

@@ -335,6 +335,30 @@ def test_negative_spectrum_skips_the_neumann_zero_mode():
     assert none.convergence["raw"] == [[], [], []] and none.convergence["wide_values"] == []
 
 
+def test_arpack_without_deflation_is_the_projected_solve():
+    # with nothing found the projection z - found (found^H M found)^-1 found^H M z
+    # is z - 0 = z: lu.solve alone gives the same pairs bit for bit; with
+    # pairs found, the solve still projects them out
+    pencil = fem2d.assemble(core.uniform_field(2.0, 1.0, 0.5 + 0.5j), fem2d.build_mesh(1.0, 3.0, 0.4))
+    K_r, M_r = pencil.reduced()
+    n_below, lu = fem2d.shifted_inertia(K_r, M_r, -40.0)
+    assert n_below == 0
+    none = np.empty((K_r.shape[0], 0))
+    vals, vecs = fem2d._deflated_arpack(K_r, M_r, -40.0, lu, 3, none)
+
+    def project(z):
+        return z - none @ np.linalg.solve(none.T @ (M_r @ none), (M_r @ none).T @ z)
+
+    rng = np.random.default_rng(0)
+    v0 = project(rng.standard_normal(K_r.shape[0]))
+    op = fem2d.spla.LinearOperator(K_r.shape, matvec=lambda y: project(lu.solve(y)), dtype=K_r.dtype)
+    ref_vals, ref_vecs = fem2d.spla.eigsh(K_r, k=3, M=M_r, sigma=-40.0, which="LM", v0=v0, OPinv=op, rng=rng)
+    assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
+    more, more_vecs = fem2d._deflated_arpack(K_r, M_r, -40.0, lu, 2, vecs)
+    assert np.allclose(np.sort(more), dense_eigenvalues(pencil, 5)[3:], rtol=0.0, atol=1e-9)
+    assert np.abs(vecs.T @ (M_r @ more_vecs)).max() < 1e-10
+
+
 def test_arpack_releases_its_operator_without_a_collection(monkeypatch):
     # the factor and the deflation basis go with the shift-invert operator
     # as soon as eigsh returns; no reference cycle waits for the collector

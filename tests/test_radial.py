@@ -12,7 +12,7 @@ from scipy.optimize import brentq
 from scipy.special import iv, kv
 
 import surfint as si
-from surfint import radial
+from surfint import radial, report
 from surfint.errors import ValidationError
 
 
@@ -538,3 +538,163 @@ def test_array_assembly_equals_loop_oracle(field, n_grid):
                 for g, w in zip(got, want):
                     assert g.dtype == w.dtype
                     assert np.array_equal(g, w)
+
+
+# ------------------------------------------- Dirichlet-to-Neumann census
+
+
+@pytest.mark.parametrize("nu", [0, 1, 2, 5, 13, 40, 0.5, 1.5, 5.5, 20.5])
+def test_bessel_ratios_against_mpmath(nu):
+    # (x I_{nu+1}/I_nu, x K_{nu-1}/K_nu) to a few ulp on every branch:
+    # Temme's series and Steed's CF2 for K_1/K_0 (crossing at x = 1), the
+    # closed form at nu = 1/2, the fraction, the recurrence and the large-x
+    # series from x = 32 max(nu, 2)
+    xs = [1e-300, 1e-100, 1e-20, 1e-5, 0.01, 0.5, 0.999, 1.0, 1.7, 2.0, 5.0, 31.9, 63.9, 64.0, 200.0, 1e3]
+    with mpmath.workdps(40):
+        for x in xs:
+            got = radial._ratios(nu, x)
+            want = [x * mpmath.besseli(nu + 1, x) / mpmath.besseli(nu, x),
+                    x * mpmath.besselk(nu - 1, x) / mpmath.besselk(nu, x)]
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 4 * math.ulp(float(w)), (x, g, float(w))
+    assert radial._ratios(nu, 0.0) == (0.0, 0.0)
+
+
+def _dtn_sign_changes(dimension, field, R):
+    """Bound states counted as the sign changes of det R(D(k) - Theta), or
+    of c^H R(D(k) - Theta) c, on a fine grid of x = kR per mode, with the
+    Bessel ratios from scipy.special: the roots the census should count."""
+    from scipy.special import ive, kve
+
+    theta = si.theta_matrix(field).entries * R
+    s = max(si.core.line_roots(field.alpha, field.beta, field.gamma))
+    total, mode = 0, 0
+    while mode <= R * s + 1:
+        p, q = (mode, mode) if dimension == 2 else (mode, mode + 1)
+        nu = mode + 0.5 * (dimension - 2)
+        low = 1e-300 if dimension == 2 and mode == 0 else 1e-6  # 2-D mode 0 binds as exp(-1/(alpha R))
+        x = np.concatenate([np.geomspace(low, 1e-2, 150), np.linspace(1e-2, 4.0 * max(R * s, 1.0) + 1.0, 1500)])
+        d11 = p + x * ive(nu + 1, x) / ive(nu, x)
+        d22 = q + x * kve(nu - 1, x) / kve(nu, x)
+        if field.kind == si.CONSTRAINED:
+            ci, ce = field.constraint_coefficients()
+            f = abs(ci) ** 2 * d11 + abs(ce) ** 2 * d22 - field.alpha * R
+        else:
+            f = (d11 - theta[0, 0].real) * (d22 - theta[1, 1].real) - abs(theta[0, 1]) ** 2
+        assert np.isfinite(f).all()
+        total += radial.multiplicity(dimension, mode) * int(np.count_nonzero(np.diff(np.sign(f))))
+        mode += 1
+    return total
+
+
+def test_census_counts_the_roots_of_the_secular_equation():
+    # 240 seeded couplings over both dimensions, free and constrained and
+    # every sign regime of alpha and beta
+    rng = np.random.default_rng(2026)
+    regimes = set()
+    for i in range(240):
+        a, b = (rng.choice((-1.0, 0.0, 1.0)) * rng.uniform(0.2, 4.0) for _ in range(2))
+        g = complex(*rng.uniform(-2.5, 2.5, 2)) if rng.random() < 0.8 else 0j
+        field, R, dim = si.uniform_field(a, b, g), rng.uniform(0.5, 2.0), 2 + i % 2
+        N, levels = radial.dtn_census(dim, field, R, 1)
+        assert N == _dtn_sign_changes(dim, field, R), (dim, a, b, g, R)
+        regimes.add((np.sign(a), np.sign(b), dim, N > 0))
+    assert len(regimes) >= 19
+
+
+@pytest.mark.parametrize("dim, field, R", [
+    (2, si.uniform_field(2.0, 1.0, 0.0), 1.0),
+    (3, si.uniform_field(2.0, 1.0, 0.0), 1.0),
+    (2, si.uniform_field(1.3, 1.2, 0.3 + 0.4j), 1.0),
+    (3, si.uniform_field(1.0, 1.1, 0.2 + 0.5j), 1.3),
+    (2, si.uniform_field(3.0, 0.0, 0.5 - 0.5j), 1.0),
+    (3, si.uniform_field(4.4, 0.0, 0.5 - 0.5j), 1.0),
+    (2, si.uniform_field(-1.0, 0.5, 1j), 0.8),
+    (3, si.uniform_field(2.0, -1.0, 0.3), 1.0),
+])
+def test_census_agrees_with_dirichlet_fd_ladders(dim, field, R):
+    # Richardson on n_grid 256, 512, 1024 in a Dirichlet box at 20R, which
+    # only raises eigenvalues: the census lies below each extrapolated
+    # value by at most the ladder's error bar plus the box's truncation,
+    # below 8 |lambda| exp(-2k (R_out - R)) (it is 4e-6 relative for the
+    # shallowest state here, at k = 0.33)
+    N, levels = radial.dtn_census(dim, field, R, 10**6)
+    reps = [radial.assemble_mode_sum(radial.RadialGeometry(dim, R, 20.0 * R, "dirichlet"), field, n)
+            for n in (256, 512, 1024)]
+    assert [rep.N for rep in reps] == [N] * 3
+    for i, lam in enumerate(levels.expanded()):
+        value, err = radial.richardson([rep.eigenvalues[i] for rep in reps])
+        truncation = 8.0 * abs(lam) * math.exp(-2.0 * math.sqrt(-lam) * 19.0 * R)
+        assert -err <= value - lam <= err + truncation, (i, lam, value, err)
+
+
+def test_census_of_coupling_two_one_zero():
+    # the whole-space spectrum of (2, 1, 0) at R = 1, each level with its
+    # multiplicity; CI prints the same numbers
+    N, levels = radial.dtn_census(2, si.uniform_field(2.0, 1.0, 0.0), 1.0, 10)
+    assert N == 4 and levels.multiplicities == (1, 2, 1)
+    assert levels.eigenvalues == pytest.approx((-5.26381, -3.41767, -0.74215), abs=1e-5)
+    N, levels = radial.dtn_census(3, si.uniform_field(2.0, 1.0, 0.0), 1.0, 10)
+    assert N == 5 and levels.multiplicities == (1, 3, 1)
+    assert levels.eigenvalues == pytest.approx((-6.70963, -3.53255, -0.10841), abs=1e-5)
+
+
+@pytest.mark.parametrize("alpha_R", [1.5, 4.4, 12.0, 40.0, 400.0])
+def test_census_of_the_delta_sphere_is_the_delta_spectrum(alpha_R):
+    # both take alpha R as the exact product; they part, by 2 ulp, only
+    # where the census sums the large-x series after scaling them
+    for R in (1.0, 0.7, 3.0):
+        N, lams = radial.sphere_delta_spectrum(alpha_R / R, R, 40)
+        got_N, levels = radial.dtn_census(3, si.delta_field(alpha_R / R), R, 40)
+        got = levels.expanded()[:40]
+        assert got_N == N and len(got) == len(lams)
+        assert all(abs(g - w) <= 2 * math.ulp(w) for g, w in zip(got, lams))
+
+
+def test_census_solves_only_the_counted_roots(monkeypatch):
+    # (2, 1, 0) on the circle: -5.26 (mode 0), -3.42 twice (mode 1), then
+    # mode 0's second root -0.74; its sign at the other roots skips it
+    calls = []
+    bisect = si.core.bisect
+    monkeypatch.setattr(si.core, "bisect", lambda *a: calls.append(1) or bisect(*a))
+    field = si.uniform_field(2.0, 1.0, 0.0)
+    for count, solved in ((1, 1), (2, 2), (3, 2), (4, 3), (9, 3)):
+        calls.clear()
+        N, levels = radial.dtn_census(2, field, 1.0, count)
+        assert N == 4 and len(calls) == solved and levels.N >= min(count, N)
+
+
+@pytest.mark.parametrize("alpha_R", [0.3, 0.1, 0.05])
+def test_census_weak_coupling_in_two_dimensions(alpha_R):
+    # every attractive delta circle binds in mode 0, at I_0 K_0 (kR) =
+    # 1/(alpha R): Simon's law kR ~ 2 exp(-1/(alpha R) - gamma_E), up to
+    # O((kR)^2 log kR)
+    N, levels = radial.dtn_census(2, si.delta_field(alpha_R), 1.0, 1)
+    assert N == 1
+    k = math.sqrt(-levels.eigenvalues[0])
+    with mpmath.workdps(40):
+        root = mpmath.findroot(lambda x: mpmath.besseli(0, x) * mpmath.besselk(0, x) - 1 / mpmath.mpf(alpha_R),
+                               2 * mpmath.exp(-1 / mpmath.mpf(alpha_R) - mpmath.euler))
+    assert abs(k - root) <= 4e-15 * root
+    simon = 2.0 * math.exp(-1.0 / alpha_R - float(mpmath.euler))
+    assert abs(k / simon - 1.0) <= k * k * abs(math.log(k)) + 4e-15
+    expected = {0.3: -1.6147e-3, 0.1: -2.599e-9}.get(alpha_R)
+    if expected:
+        assert levels.eigenvalues[0] == pytest.approx(expected, rel=5e-4)
+
+
+@pytest.mark.parametrize("alpha_R", [0.0027, 1e-4])
+def test_census_refuses_an_eigenvalue_that_underflows(alpha_R):
+    # k^2 leaves the normal range near alpha R = 2.7e-3, and k itself
+    # rounds to 0 near 1.4e-3: a typed error, never -0.0
+    with pytest.raises(ValidationError, match="normal float range"):
+        radial.dtn_census(2, si.delta_field(alpha_R), 1.0, 1)
+
+
+def test_census_validation():
+    with pytest.raises(ValidationError, match="MODE_LIMIT|beyond"):
+        radial.dtn_census(2, si.uniform_field(0.0, 1e-6, 0.0), 1.0, 1)
+    for dim, R in ((2, 0.0), (3, -1.0), (4, 1.0), (2, math.inf)):
+        with pytest.raises(ValidationError):
+            radial.dtn_census(dim, si.delta_field(2.0), R, 1)
+    assert radial.dtn_census(3, si.uniform_field(-1.0, -1.0, 0.5j), 1.0, 3) == (0, report.Levels((), ()))
