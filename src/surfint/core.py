@@ -128,7 +128,9 @@ def theta_entries(rc):
         return a / 4.0, complex(a / 4.0), a / 4.0
     g, b = complex(rc.gamma), rc.beta
     cg = g.conjugate()
-    return abs(1 + g / 2) ** 2 / b + a / 4, (cg / 2 - 1) * (1 + g / 2) / b + a / 4, abs(1 - g / 2) ** 2 / b + a / 4
+    return (abs(1 + g / 2) ** 2 / b + a / 4,
+            (cg / 2 - 1) * (1 + g / 2) / b + a / 4,
+            abs(1 - g / 2) ** 2 / b + a / 4)
 
 
 def theta_matrix(rc):

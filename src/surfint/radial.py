@@ -161,7 +161,7 @@ def dtn_census(dimension, field, R, count):
         raise ValidationError(f"the coupling binds up to mode R s = {R * s:.6g}, beyond {MODE_LIMIT}")
     if field.kind == core.CONSTRAINED:
         wi, we = (abs(c) ** 2 for c in field.constraint_coefficients())
-        aR, aR_err = field.alpha * R, _product_error(field.alpha, R)  # alpha R exactly, as for the delta sphere
+        aR, aR_err = field.alpha * R, _product_error(field.alpha, R)  # alpha R = aR + aR_err exactly
     else:
         t11, t12, t22 = core.theta_entries(field)
         det_theta, b = field.alpha / field.beta, R * abs(t12)

@@ -573,7 +573,8 @@ def _dtn_sign_changes(dimension, field, R):
         p, q = (mode, mode) if dimension == 2 else (mode, mode + 1)
         nu = mode + 0.5 * (dimension - 2)
         low = 1e-300 if dimension == 2 and mode == 0 else 1e-6  # 2-D mode 0 binds as exp(-1/(alpha R))
-        x = np.concatenate([np.geomspace(low, 1e-2, 150), np.linspace(1e-2, 4.0 * max(R * s, 1.0) + 1.0, 1500)])
+        top = 4.0 * max(R * s, 1.0) + 1.0  # past every root
+        x = np.concatenate([np.geomspace(low, 1e-2, 150), np.linspace(1e-2, top, 1500)])
         d11 = p + x * ive(nu + 1, x) / ive(nu, x)
         d22 = q + x * kve(nu - 1, x) / kve(nu, x)
         if field.kind == si.CONSTRAINED:
@@ -673,8 +674,9 @@ def test_census_weak_coupling_in_two_dimensions(alpha_R):
     assert N == 1
     k = math.sqrt(-levels.eigenvalues[0])
     with mpmath.workdps(40):
-        root = mpmath.findroot(lambda x: mpmath.besseli(0, x) * mpmath.besselk(0, x) - 1 / mpmath.mpf(alpha_R),
-                               2 * mpmath.exp(-1 / mpmath.mpf(alpha_R) - mpmath.euler))
+        inv = 1 / mpmath.mpf(alpha_R)
+        root = mpmath.findroot(lambda x: mpmath.besseli(0, x) * mpmath.besselk(0, x) - inv,
+                               2 * mpmath.exp(-inv - mpmath.euler))
     assert abs(k - root) <= 4e-15 * root
     simon = 2.0 * math.exp(-1.0 / alpha_R - float(mpmath.euler))
     assert abs(k / simon - 1.0) <= k * k * abs(math.log(k)) + 4e-15
