@@ -5,7 +5,7 @@ singular interaction at the origin parameterized by (alpha, beta, gamma):
 alpha weights the mean trace, beta the jump, and the complex gamma mixes
 the two.  Negative eigenvalues lambda = -k^2 are roots of an explicit
 characteristic function, which reduces to a quadratic in k tanh(kd), so
-everything here is exact up to bisection.
+everything here is exact up to the last float of each root.
 """
 
 import numpy as np

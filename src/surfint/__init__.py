@@ -3,8 +3,8 @@
 Subpackages by capability:
 
 - core: validation of the uniform coupling, the 2x2 surface matrix,
-  closed-form band bottoms, form lower bounds, the bisection
-  root-finder.
+  closed-form band bottoms, form lower bounds, the one root-finder
+  (halving, or Newton steps inside the bracket given a slope).
 - interval: exact 1-D negative spectrum from the roots of a secular
   quadratic, with a determinant cross-check.
 - radial: sphere s-wave matching and radially reduced finite-difference

@@ -19,8 +19,8 @@ gamma*) and every task takes output (dir):
     interval       exact negative spectrum on the symmetric interval,
                    one eigenvalue per positive root of its secular
                    quadratic (twice for its double root), its k
-                   bisected to adjacent floats; k_max is an optional
-                   window on k
+                   solved to adjacent floats by bracketed Newton;
+                   k_max is an optional window on k
                    geometry* d*;  solver: k_max
     sphere         radial FD mode sum on the 3-D sphere interface
                    geometry* R*, R_out;  solver: n_grid, outer_bc
@@ -433,7 +433,7 @@ def _run_radial_oracle(cfg, verbose):
     a, b, g = cfg.coupling
     if b != 0.0 or complex(g) != 0:
         raise ValidationError(
-            "radial-oracle needs a pure attractive delta coupling "
+            "radial-oracle needs a pure delta coupling "
             f"(beta = 0, gamma = 0), got beta={b}, gamma={g}")
     R = cfg.geometry["R"]
     count, lam = radial.sphere_swave_matching(a, R)

@@ -203,17 +203,43 @@ def form_lower_bound(rc):
     return FormBound(-lam_max if lam_max > 0.0 else -1e-12)
 
 
-def bisect(f, lo, hi, tol):
+NEWTON_SPARE = 5  # Newton steps bisect may take before its first halving
+
+
+def bisect(f, lo, hi, tol, slope=False):
     """Root of f on [lo, hi], given f(lo) <= 0 <= f(hi).
 
-    Halves the bracket, keeping that sign pattern, until it is at most
+    Shrinks the bracket, keeping that sign pattern, until it is at most
     tol wide or its ends are adjacent floats (tol = 0 asks for the
     latter), and returns its midpoint.  A zero of f at either end or at a
-    midpoint is returned as is.  Every step halves the bracket, so the
-    loop ends.  Raises ValidationError when the ends break the sign
-    pattern (a NaN included).
+    point it tries is returned as is.  Raises ValidationError when the
+    ends break the sign pattern (a NaN included).
+
+    Without ``slope`` every step halves the bracket.  With ``slope``, f
+    returns (value, slope), and a step is Newton's from the end with the
+    smaller |f|, or else from the other end, when that lands strictly
+    inside the bracket; a Newton step that rounds to no move goes to the
+    adjacent float instead, which closes a bracket Newton approached from
+    one side.  The other steps
+    halve [a, b], the bracket plain halving would hold: it holds [lo,
+    hi], and it halves at no cost while [lo, hi] lies in one of its
+    halves.
+
+    Bound.  Let f be nondecreasing, n the evaluations plain halving
+    makes inside its loop, h the halvings [a, b] has made and e the
+    evaluations in this loop.  A Newton step is taken only while e < 2h
+    + NEWTON_SPARE, and an evaluation at the middle of [a, b] lets it
+    halve once more, so e <= 2h + NEWTON_SPARE + 1 holds throughout,
+    whatever the slopes.  As f is nondecreasing, the half plain halving
+    keeps is the one that holds [lo, hi], and a zero at its midpoint
+    lies inside (lo, hi) until it is evaluated: [a, b] is plain
+    halving's bracket after h of its steps.  Before the last evaluation
+    neither loop had ended (the middle of a bracket holding a float is
+    inside it, as long as a + b does not overflow), so h <= n - 1 there
+    and e <= 2n + 4: with the two ends, at most twice plain halving's
+    evaluations plus 2.
     """
-    flo, fhi = f(lo), f(hi)
+    (flo, dlo), (fhi, dhi) = (f(lo), f(hi)) if slope else ((f(lo), 0.0), (f(hi), 0.0))
     if not (lo <= hi and flo <= 0.0 <= fhi):
         raise ValidationError(
             f"[{lo}, {hi}] brackets no root: f(lo) = {flo}, f(hi) = {fhi}"
@@ -222,15 +248,28 @@ def bisect(f, lo, hi, tol):
         return lo
     if fhi == 0.0:
         return hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if fmid < 0.0:
-            lo = mid
+    a, b, halvings, evals = lo, hi, 0, 0
+    while hi - lo > tol and lo < 0.5 * (lo + hi) < hi:
+        ends = ((lo, flo, dlo, hi), (hi, fhi, dhi, lo))
+        for x, fx, dx, other in ends if fhi > -flo else ends[::-1]:
+            c = x - fx / dx if dx else math.nan  # no step from a zero slope, or without one
+            if c == x:
+                c = math.nextafter(x, other)
+            if lo < c < hi:
+                break
+        if not (evals < 2 * halvings + NEWTON_SPARE and lo < c < hi):
+            m = 0.5 * (a + b)
+            while a < m < b and not lo < m < hi:  # [lo, hi] lies in one half
+                a, b, halvings = (a, m, halvings + 1) if hi <= m else (m, b, halvings + 1)
+                m = 0.5 * (a + b)
+            if not (evals < 2 * halvings + NEWTON_SPARE and lo < c < hi):
+                c = m if lo < m < hi else 0.5 * (lo + hi)
+        evals += 1
+        fc, dc = f(c) if slope else (f(c), 0.0)
+        if fc == 0.0:
+            return c
+        if fc < 0.0:
+            lo, flo, dlo = c, fc, dc
         else:
-            hi = mid
+            hi, fhi, dhi = c, fc, dc
     return 0.5 * (lo + hi)

@@ -227,8 +227,9 @@ def negative_spectrum(prob, k_max=None):
     """All negative eigenvalues lambda = -k^2 with k <= k_max.
 
     Each positive root s of the secular quadratic gives one eigenvalue;
-    its k solves k tanh(kd) = s and is bisected inside [s, s + 1/d] until
-    the bracket ends are adjacent floats, so a shallow state keeps its
+    its k solves k tanh(kd) = s inside [s, s + 1/d], by core.bisect's
+    Newton steps with the slope tanh(kd) + kd sech^2(kd), until the
+    bracket ends are adjacent floats, so a shallow state keeps its
     relative accuracy.  k_max is an optional window: only roots with
     k <= k_max are reported.  It defaults to the largest s plus 1/d,
     which holds every root.  The residuals |F(k)| of the characteristic
@@ -242,7 +243,7 @@ def negative_spectrum(prob, k_max=None):
         k_max = (roots[0] if roots else 0.0) + 1.0 / d
     ks = []
     for s in roots:
-        k = core.bisect(lambda k: k * math.tanh(k * d) - s, s, s + 1.0 / d, 0.0)
+        k = core.bisect(lambda k: _secular(k, d, s), s, s + 1.0 / d, 0.0, slope=True)
         if k <= k_max:
             if k * k == math.inf:
                 raise ValidationError(f"eigenvalue -k^2 overflows at k={k}")
@@ -257,6 +258,12 @@ def negative_spectrum(prob, k_max=None):
     }
     m_d = eigenvalues[0] if eigenvalues else 0.0
     return IntervalSpectrum(eigenvalues, (1 + diagnostics["degenerate"],) * len(ks), ks, min(0.0, m_d), diagnostics)
+
+
+def _secular(k, d, s):
+    """k tanh(kd) - s and its k-slope tanh(kd) + kd sech^2(kd)."""
+    t = math.tanh(k * d)
+    return k * t - s, t + k * d * (1.0 - t * t)
 
 
 def m_interval(prob):

@@ -42,7 +42,7 @@ NEG_TOL = 1e-10
 # bisection to full accuracy; stebz's default tolerance eps * ||T||_1
 # drifts by 1e-8 to 1e-7 on fine grids
 STURM_TOL = 2.0 * sys.float_info.min
-SWAVE_TOL = 0.0  # the s-wave root is bisected until its bracket ends are adjacent floats
+SWAVE_TOL = 0.0  # the s-wave root is solved until its bracket ends are adjacent floats
 MODE_LIMIT = 1 << 16  # dtn_census refuses a coupling that binds beyond this angular mode
 
 
@@ -71,45 +71,49 @@ class RadialGeometry:
 
 
 def sphere_swave_matching(alpha_tilde, R):
-    """Bound state of the attractive delta sphere in 3-D, s-wave sector:
-    mode 0 of sphere_delta_spectrum, which binds iff alpha_tilde R > 1.
+    """Bound state of the delta sphere in 3-D, s-wave sector: mode 0 of
+    sphere_delta_spectrum, which binds iff alpha_tilde R > 1.
     Returns (count, eigenvalue-or-None); raises as that does."""
     lams = sphere_delta_spectrum(alpha_tilde, R, 1)[1]
     return (1, lams[0]) if lams else (0, None)
 
 
 def sphere_delta_spectrum(alpha_tilde, R, count):
-    """Exact bound states of the attractive delta sphere in 3-D.
+    """Exact bound states of the delta sphere in 3-D.
 
     Mode l (nu = l + 1/2) binds iff alpha_tilde R > 2l + 1, with one root
     k of alpha_tilde R I_nu(kR) K_nu(kR) = 1: an eigenvalue -k^2 of
-    multiplicity 2l + 1.  The Wronskian 1 / (I K) = x (I'/I - K'/K) turns
-    that into
+    multiplicity 2l + 1.  A repulsive sphere (alpha_tilde <= 0) binds
+    nothing.  The Wronskian 1 / (I K) = x (I'/I - K'/K) turns that into
 
-        x (I_{nu+1}/I_nu + K_{nu-1}/K_nu)(x) = alpha_tilde R - (2l + 1),   x = kR,
+        F(x) = x (I_{nu+1}/I_nu + K_{nu-1}/K_nu)(x) = alpha_tilde R - (2l + 1),   x = kR,
 
     whose left side, a sum of positive ratios, rises from 0: nothing
     cancels near the threshold.  Mode 0's left side, x coth x - 1 + x, is
     at least alpha_tilde R - 1 at k = alpha_tilde / 2, and I K falls in l,
-    so each root lies below the last, which brackets it; it is bisected to
-    adjacent floats.  Only the modes holding the lowest ``count``
-    eigenvalues are solved.  Returns (N, those eigenvalues ascending).
-    Raises ValidationError for alpha_tilde < 0, R <= 0 or an infinite
-    product, and when -k^2 overflows."""
+    so each root lies below the last, which brackets it.  core.bisect
+    solves it to adjacent floats with Newton steps, the slope F' = (x q -
+    x r)(F + 2 nu) / x from the ratios' Riccati equations (_ratio_sum).
+    Only the modes holding the lowest ``count`` eigenvalues are solved.
+    Returns (N, those eigenvalues ascending).  Raises ValidationError for
+    R <= 0 or an infinite product, and when -k^2 overflows."""
     at, R = float(alpha_tilde), float(R)
-    if not (at >= 0.0 and R > 0.0 and at * R < math.inf):
-        raise ValidationError(f"need alpha_tilde >= 0, R > 0 and a finite product, got ({at}, {R})")
+    if not (R > 0.0 and abs(at * R) < math.inf):
+        raise ValidationError(f"need R > 0 and a finite product alpha_tilde R, got ({at}, {R})")
     xi, err = at * R, _product_error(at, R)  # alpha_tilde R = xi + err exactly
-    bound = math.ceil(xi) // 2 + (xi % 2 == 1.0 and err > 0.0)  # the modes l with 2l + 1 < xi + err
+    bound = max(0, math.ceil(xi) // 2 + (xi % 2 == 1.0 and err > 0.0))  # the modes l with 2l + 1 < xi + err
     levels, k = [], 0.5 * at
     for l in range(min(bound, math.isqrt(max(count, 1) - 1) + 1)):  # modes 0..l hold (l + 1)^2
         excess = (xi - (2 * l + 1)) + err  # the difference is exact near the threshold
 
-        def residual(k):  # the left side less the excess, rising through 0 at the root
-            return _ratio_sum(l, k * R) - excess if k else -excess
+        def residual(k):  # F less the excess, rising through 0 at the root, with its k-slope
+            if not k:
+                return -excess, math.nan
+            F, dF = _ratio_sum(l, k * R)
+            return F - excess, R * dF
 
-        if residual(k) > 0.0:  # else the root rounds to the bracket end (alpha R above ~38 for l = 0, ~1e8 after)
-            k = core.bisect(residual, 0.0, k, SWAVE_TOL)
+        if residual(k)[0] > 0.0:  # else the root rounds to k (alpha R above ~38 for l = 0, ~1e8 after)
+            k = core.bisect(residual, 0.0, k, SWAVE_TOL, slope=True)
         if k * k == math.inf:
             raise ValidationError(f"eigenvalue -k^2 overflows at k={k}")
         levels.append(Levels((-k * k,), (multiplicity(3, l),)))
@@ -141,13 +145,18 @@ def dtn_census(dimension, field, R, count):
     largest root of core.line_roots (Theta's largest eigenvalue, or
     alpha/c for a constrained coupling); R s must be below MODE_LIMIT.
     Then the lowest levels are taken one per pass, at most N passes: the
-    head of branch 0 (the deeper root of a mode) is bisected, and the
+    head of branch 0 (the deeper root of a mode) is solved, and the
     head of branch 1 only when its sign at that k says it lies deeper.
-    Each root is bisected on (0, hi] to adjacent floats, about 53 +
-    log2(hi/k) halvings and never more than the float range allows (core.
-    bisect): hi is the root before it on its branch, the branch-0 root of
-    its mode for branch 1, or 4 max(s, 1/R) for mode 0, past which both
-    ratios exceed 3x/4 and D - Theta is positive definite.
+    Each root is solved on (0, hi] to adjacent floats by core.bisect's
+    Newton steps, about 7 residuals a root where plain halving takes 53
+    + log2(hi/k), and never more than twice that plus 2: hi is the root
+    before it on its branch, the branch-0 root of its mode for branch 1,
+    or 4 max(s, 1/R) for mode 0, past which both ratios exceed 3x/4 and
+    D - Theta is positive definite.  The slopes come from the Riccati
+    equations d(x r)/dx = (x^2 - (x r)^2 - 2 nu x r)/x and d(x q)/dx =
+    ((x q)^2 + 2 nu x q - x^2)/x of the two ratios: w_i (x r)' + w_e (x
+    q)' on the constrained fold, and the derivative mean' -+ (A - C)(A' -
+    C') / (4 half) of the 2x2 eigenvalues mean -+ half on a free coupling.
 
     Raises ValidationError for R outside (0, inf), an R s beyond
     MODE_LIMIT, and an eigenvalue -k^2 to be reported outside the normal
@@ -166,21 +175,25 @@ def dtn_census(dimension, field, R, count):
         t11, t12, t22 = core.theta_entries(field)
         det_theta, b = field.alpha / field.beta, R * abs(t12)
 
-    def branches(mode, x):  # the eigenvalues of R (D - Theta), ascending, or c^H R (D - Theta) c
+    def branches(mode, x):  # (value, x-slope) of each eigenvalue of R (D - Theta), or of c^H R (D - Theta) c
+        nu = mode + 0.5 * (dimension - 2)
         p, q = (mode, mode) if dimension == 2 else (mode, mode + 1)
-        xr, xq = _ratios(mode + 0.5 * (dimension - 2), x)
+        xr, xq = _ratios(nu, x)
+        dr, dq = (math.nan, math.nan) if not x else (
+            (x * x - xr * xr - 2.0 * nu * xr) / x, (xq * xq + 2.0 * nu * xq - x * x) / x)
         if field.kind == core.CONSTRAINED:
-            return (((wi * p + we * q - aR) - aR_err) + (wi * xr + we * xq),)
+            return ((((wi * p + we * q - aR) - aR_err) + (wi * xr + we * xq), wi * dr + we * dq),)
         P, Q = p - R * t11, q - R * t22
         A, C = P + xr, Q + xq
         det = (p * q - R * (p * t22 + q * t11) + R * R * det_theta) + xr * C + xq * P
         mean, half = 0.5 * (A + C), math.hypot(0.5 * (A - C), b)
-        return (mean - half if mean <= 0.0 else det / (mean + half),
-                mean + half if mean >= 0.0 else det / (mean - half))
+        dmean, dhalf = 0.5 * (dr + dq), 0.25 * (A - C) * (dr - dq) / half if half else math.nan
+        return ((mean - half if mean <= 0.0 else det / (mean + half), dmean - dhalf),
+                (mean + half if mean >= 0.0 else det / (mean - half), dmean + dhalf))
 
     counts = []
     while not counts or counts[-1]:
-        counts.append(sum(mu < 0.0 for mu in branches(len(counts), 0.0)))
+        counts.append(sum(mu < 0.0 for mu, _ in branches(len(counts), 0.0)))
     chains = [[m for m, n in enumerate(counts) if n > j] for j in (0, 1)]
     found, last = {}, [4.0 * max(s, 1.0 / R)] * 2
 
@@ -188,9 +201,12 @@ def dtn_census(dimension, field, R, count):
         hi = min(last[j], found.get((mode, 0), math.inf))
 
         def residual(k):
-            return branches(mode, k * R)[j]
+            value, slope = branches(mode, k * R)[j]
+            return value, R * slope
 
-        k = core.bisect(residual, 0.0, hi, 0.0) if residual(hi) > 0.0 else hi  # else it rounds to hi
+        k = hi
+        if residual(hi)[0] > 0.0:  # else the root rounds to hi
+            k = core.bisect(residual, 0.0, hi, 0.0, slope=True)
         if not sys.float_info.min <= k * k < math.inf:
             raise ValidationError(f"eigenvalue -k^2 leaves the normal float range at k={k!r} (mode {mode})")
         found[mode, j] = last[j] = k
@@ -201,7 +217,7 @@ def dtn_census(dimension, field, R, count):
         j = live[0]
         mode = chains[j][heads[j]]
         k = found[mode, j] if (mode, j) in found else solve(mode, j)
-        if len(live) == 2 and branches(chains[1][heads[1]], k * R)[1] < 0.0:  # branch 1's head lies deeper
+        if len(live) == 2 and branches(chains[1][heads[1]], k * R)[1][0] < 0.0:  # branch 1's head lies deeper
             j, mode = 1, chains[1][heads[1]]
             k = solve(mode, 1)
         levels.append(Levels((-k * k,), (multiplicity(dimension, mode),)))
@@ -219,14 +235,19 @@ def _product_error(a, b):
 
 
 def _ratio_sum(l, x):
-    """x (I_{nu+1}/I_nu + K_{nu-1}/K_nu)(x), nu = l + 1/2, for x > 0: the
-    sum of _ratios, except that from x = 32 nu on (l >= 1) it sums the two
-    large-x series before it scales them by x."""
+    """(F, dF/dx) for F = x (I_{nu+1}/I_nu + K_{nu-1}/K_nu)(x), nu = l +
+    1/2, x > 0.  F is the sum of _ratios, except that from x = 32 nu on
+    (l >= 1) it sums the two large-x series before it scales them by x;
+    the Riccati equations of the ratios give dF/dx = (x q - x r)(F + 2
+    nu) / x."""
     nu = l + 0.5
     if l and x >= 32.0 * nu:
-        return x * (_large_x_series(nu, x) + _large_x_series(-nu, -x))
-    xr, xq = _ratios(nu, x)
-    return xr + xq
+        r, q = _large_x_series(nu, x), _large_x_series(-nu, -x)
+        F, dF_x = x * (r + q), q - r
+    else:
+        xr, xq = _ratios(nu, x)
+        F, dF_x = xr + xq, (xq - xr) / x
+    return F, dF_x * (F + 2.0 * nu)
 
 
 def _ratios(nu, x):

@@ -1035,6 +1035,22 @@ def test_exact_sphere_sweep_point_is_the_delta_spectrum(tmp_path):
         assert point["m_A"] == core.m_infinity(4.4, 0.0, 0.0)
 
 
+def test_exact_sphere_sweep_through_a_repulsive_sphere(tmp_path):
+    # alpha < 0 binds nothing; the delta-sphere backend says so, as the census does
+    doc = {"task": "sweep", "coupling": {"alpha": 1.0, "beta": 0.0, "gamma": [0.0, 0.0]},
+           "geometry": {"kind": "sphere", "R": 1.0},
+           "sweep": {"parameter": "alpha", "start": -1.0, "stop": 1.0, "steps": 3}}
+    code, out = run_cli(tmp_path, "sweep", doc)
+    assert code == 0
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["results"]["backend"] == "sphere-delta-exact"
+    points = rep["results"]["points"]
+    assert [p["N"] for p in points] == [0, 0, 0]
+    assert [p["N"] for p in points] == [radial.dtn_census(3, core.delta_field(p["value"]), 1.0, 3)[0]
+                                        for p in points]
+    assert all(p["eigenvalues"] == [] for p in points)
+
+
 def test_m_infinity_report(tmp_path):
     doc = {"task": "m-infinity",
            "coupling": {"alpha": 1.0, "beta": 4.0, "gamma": [0.0, 0.0]}}

@@ -1,6 +1,7 @@
 """Coupling validation, Theta matrix, band bottoms, form bounds, bisection."""
 
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import surfint as si
-from surfint import core
+from surfint import core, interval, radial
 from surfint.errors import NonRealAlpha, ValidationError
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -218,3 +219,106 @@ def test_bisect_rejects_a_broken_bracket():
         core.bisect(lambda x: x - 2.0, 3.0, 1.0, 1e-12)  # lo > hi
     with pytest.raises(ValidationError):
         core.bisect(lambda x: math.nan, 1.0, 3.0, 1e-12)
+
+
+SLOPES = {  # slopes bisect must survive: each call draws one from its own rng
+    "zero": lambda rng, x, true: 0.0,
+    "negative": lambda rng, x, true: -rng.uniform(0.1, 10.0),
+    "nan": lambda rng, x, true: math.nan,
+    "inf": lambda rng, x, true: math.inf,
+    "random": lambda rng, x, true: rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-8.0, 8.0),
+    "true": lambda rng, x, true: true(x),
+}
+RISING = [  # (f, f', lo, hi): each f nondecreasing in floats, with no zero at a dyadic point
+    (lambda x: x * x - 2.0, lambda x: 2.0 * x, 0.0, 2.0),
+    (lambda x: x * x * x - 3.0, lambda x: 3.0 * x * x, -1.0, 4.0),
+    (lambda x: x - 1e-300 / 3.0, lambda x: 1.0, 0.0, 1.0),
+    (lambda x: x * x * x - 1e20 / 3.0, lambda x: 3.0 * x * x, -1e10, 1e10),
+    (lambda x: (x - 0.1) * (x - 0.1) * (x - 0.1), lambda x: 3.0 * (x - 0.1) ** 2, -5.0, 7.0),
+]
+
+
+def _sign_change(f, x):
+    """f(x) == 0, or f changes sign between x and an adjacent float."""
+    fx = f(x)
+    up, down = math.nextafter(x, math.inf), math.nextafter(x, -math.inf)
+    return fx == 0.0 or fx < 0.0 < f(up) or f(down) < 0.0 < fx
+
+
+@pytest.mark.parametrize("kind", sorted(SLOPES))
+@pytest.mark.parametrize("tol", [0.0, 1e-9])
+def test_bisect_with_any_slope_takes_at_most_twice_plain_halving(kind, tol):
+    rng = random.Random(kind)
+    for f, df, lo, hi in RISING:
+        plain, newton = [], []
+        core.bisect(lambda x: plain.append(x) or f(x), lo, hi, tol)
+        root = core.bisect(lambda x: newton.append(x) or (f(x), SLOPES[kind](rng, x, df)),
+                           lo, hi, tol, slope=True)
+        assert len(newton) <= 2 * len(plain) + 2, (kind, lo, hi, len(newton), len(plain))
+        assert (f(root - tol) <= 0.0 <= f(root + tol)) if tol else _sign_change(f, root)
+
+
+@pytest.mark.parametrize("kind", sorted(SLOPES))
+def test_bisect_with_any_slope_keeps_the_contract(kind):
+    rng = random.Random(kind)
+
+    def with_slope(f):
+        return lambda x: (f(x), SLOPES[kind](rng, x, lambda x: 1.0))
+
+    assert core.bisect(with_slope(lambda x: x - 1.0), 1.0, 3.0, 0.0, slope=True) == 1.0
+    assert core.bisect(with_slope(lambda x: x - 3.0), 1.0, 3.0, 0.0, slope=True) == 3.0
+    for f, lo, hi in ((lambda x: x - 5.0, 1.0, 3.0), (lambda x: 1.0 - x, 0.0, 2.0),
+                      (lambda x: x - 2.0, 3.0, 1.0), (lambda x: math.nan, 1.0, 3.0)):
+        with pytest.raises(ValidationError):
+            core.bisect(with_slope(f), lo, hi, 0.0, slope=True)
+
+
+@pytest.fixture
+def checked_roots(monkeypatch):
+    """core.bisect that counts roots and residual evaluations, and records
+    every root that is not a sign change of its residual between adjacent
+    floats (checked at once: the callers' residuals close over loop variables)."""
+    bisect, seen = core.bisect, {"roots": 0, "evals": 0, "bad": []}
+
+    def checked(f, lo, hi, tol, slope=False):
+        def counted(x):
+            seen["evals"] += 1
+            return f(x)
+
+        root = bisect(counted, lo, hi, tol, slope=slope)
+        seen["roots"] += 1
+        if not _sign_change((lambda x: f(x)[0]) if slope else f, root):
+            seen["bad"].append((lo, hi, root))
+        return root
+
+    monkeypatch.setattr(core, "bisect", checked)
+    return seen
+
+
+def test_every_exact_root_is_a_sign_change_of_its_residual(checked_roots):
+    rng = random.Random(25)
+    for i in range(40):
+        gamma = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+        beta = 0.0 if i % 2 else rng.uniform(0.3, 2.0)  # constrained and free in turn
+        field = core.uniform_field(rng.uniform(0.5, 6.0), beta, gamma)
+        radial.dtn_census(2 + i % 4 // 2, field, rng.uniform(0.5, 2.0), 12)
+        a, b = rng.uniform(-2.0, 4.0), rng.uniform(-2.0, 4.0)
+        interval.negative_spectrum(interval.IntervalProblem(a, b, gamma, rng.uniform(0.5, 8.0)))
+        radial.sphere_delta_spectrum(rng.uniform(1.0, 60.0), rng.uniform(0.5, 2.0), 50)
+    assert checked_roots["bad"] == []
+    assert checked_roots["roots"] > 400 and checked_roots["evals"] < 8 * checked_roots["roots"]
+
+
+def test_root_evaluation_counts(checked_roots):
+    # residual evaluations for the whole census, the interval's root and
+    # every delta-sphere mode; plain halving took 161, 166, 52 and 1,013
+    def count(solve):
+        checked_roots.update(roots=0, evals=0)
+        solve()
+        return checked_roots["roots"], checked_roots["evals"]
+
+    assert count(lambda: radial.dtn_census(2, core.uniform_field(2.0, 1.0, 0.0), 1.0, 10)) == (3, 19)
+    assert count(lambda: radial.dtn_census(3, core.uniform_field(2.0, 1.0, 0.0), 1.0, 10)) == (3, 20)
+    assert count(lambda: interval.negative_spectrum(interval.IntervalProblem(2.0, 2.0, 0.0, 3.0))) == (1, 6)
+    assert count(lambda: radial.sphere_delta_spectrum(40.0, 1.0, 400)) == (19, 111)
+    assert checked_roots["bad"] == []

@@ -200,7 +200,24 @@ def test_bessel_ratio_sum_against_mpmath(l):
             i_ratio = mpmath.besseli(nu_mp + 1, x) / mpmath.besseli(nu_mp, x)
             k_ratio = _k_half(max(l - 1, 0), x) / _k_half(l, x)  # K_{-1/2} = K_{1/2}
             ref = x * (i_ratio + k_ratio)
-            assert abs(radial._ratio_sum(l, x) - ref) <= 6e-16 * ref, x
+            assert abs(radial._ratio_sum(l, x)[0] - ref) <= 6e-16 * ref, x
+
+
+@pytest.mark.parametrize("l", [0, 1, 3, 60])
+def test_bessel_ratio_sum_slope_against_mpmath(l):
+    # the Riccati slope (x q - x r)(F + 2 nu) / x is what Newton steps on;
+    # it need not be exact: x q - x r cancels for x >> nu, to about 1e-12
+    nu = l + 0.5
+    with mpmath.workdps(40):
+        nu_mp = mpmath.mpf(l) + mpmath.mpf(1) / 2
+
+        def F(x):
+            return x * (mpmath.besseli(nu_mp + 1, x) / mpmath.besseli(nu_mp, x)
+                        + _k_half(max(l - 1, 0), x) / _k_half(l, x))
+
+        for x in (1e-6, 0.3, 1.0, 7.0, nu, 31.9 * nu, 32 * nu, 100 * nu):
+            ref = mpmath.diff(F, mpmath.mpf(x))
+            assert abs(radial._ratio_sum(l, x)[1] - ref) <= 1e-12 * abs(ref), x
 
 
 @pytest.mark.parametrize("l", [1, 2])
@@ -657,7 +674,7 @@ def test_census_solves_only_the_counted_roots(monkeypatch):
     # mode 0's second root -0.74; its sign at the other roots skips it
     calls = []
     bisect = si.core.bisect
-    monkeypatch.setattr(si.core, "bisect", lambda *a: calls.append(1) or bisect(*a))
+    monkeypatch.setattr(si.core, "bisect", lambda *a, **kw: calls.append(1) or bisect(*a, **kw))
     field = si.uniform_field(2.0, 1.0, 0.0)
     for count, solved in ((1, 1), (2, 2), (3, 2), (4, 3), (9, 3)):
         calls.clear()
