@@ -26,7 +26,8 @@ gamma*) and every task takes output (dir):
                    geometry* R*, R_out;  solver: n_grid, outer_bc
     circle-fem     2-D interface FEM with an (h, R_out) refinement ladder
                    geometry* R*, R_out, h;  solver: eigen_count
-    radial-oracle  closed-form s-wave matching for the delta sphere
+    radial-oracle  the delta sphere's s-wave state, mode 0 of the exact
+                   Dirichlet-to-Neumann census
                    geometry* R*
     m-infinity     flat-problem spectral bound + matched-strength check
                    solver: verify_interval
@@ -40,12 +41,11 @@ gamma*) and every task takes output (dir):
     certify        bound-state existence/nonexistence certificates
                    geometry* kind*, R*, R_out, n_grid
     sweep          one coupling/geometry parameter swept over a range;
-                   each point is the interval solve, the exact delta
-                   sphere (a pure delta sphere swept in alpha or R), the
-                   exact Dirichlet-to-Neumann census on a circle or
-                   sphere (backend auto or exact), or with backend
-                   "grid" the sphere task's FD mode sum (2-D on a
-                   circle), the only reader of n_grid, outer_bc, R_out
+                   each point is the interval solve, the exact
+                   Dirichlet-to-Neumann census on a circle or sphere
+                   (backend auto or exact), or with backend "grid" the
+                   sphere task's FD mode sum (2-D on a circle), the only
+                   reader of n_grid, outer_bc, R_out
                    geometry* d* (interval) or kind*, R*, R_out;
                    sweep* parameter*, start*, stop*, steps*;
                    solver: n_grid, eigen_count, outer_bc, backend
@@ -499,8 +499,6 @@ def _run_sweep(cfg, verbose):
         backend_used = "interval-exact"
     elif backend == "grid":
         backend_used = "radial-grid"
-    elif kind == "sphere" and b0 == 0.0 and complex(g0) == 0 and param in ("alpha", "R"):
-        backend_used = "sphere-delta-exact"  # every point a pure delta sphere
     else:
         backend_used = "radial-exact"
 
@@ -519,8 +517,6 @@ def _run_sweep(cfg, verbose):
         if backend_used == "interval-exact":
             spec = interval.negative_spectrum(interval.IntervalProblem(alpha=a, beta=b, gamma=g0, d=at["d"]))
             N, lams = spec.N, spec.expanded()
-        elif backend_used == "sphere-delta-exact":
-            N, lams = radial.sphere_delta_spectrum(a, at["R"], n)
         elif backend_used == "radial-exact":
             N, levels = radial.dtn_census(dimension, core.uniform_field(a, b, g0), at["R"], n)
             lams = levels.expanded()

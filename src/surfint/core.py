@@ -206,14 +206,15 @@ def form_lower_bound(rc):
 NEWTON_SPARE = 5  # Newton steps bisect may take before its first halving
 
 
-def bisect(f, lo, hi, tol, slope=False):
+def bisect(f, lo, hi, tol, slope=False, fhi=None):
     """Root of f on [lo, hi], given f(lo) <= 0 <= f(hi).
 
     Shrinks the bracket, keeping that sign pattern, until it is at most
     tol wide or its ends are adjacent floats (tol = 0 asks for the
     latter), and returns its midpoint.  A zero of f at either end or at a
     point it tries is returned as is.  Raises ValidationError when the
-    ends break the sign pattern (a NaN included).
+    ends break the sign pattern (a NaN included).  ``fhi`` is f(hi) when
+    the caller has it already; f is then not evaluated at hi.
 
     Without ``slope`` every step halves the bracket.  With ``slope``, f
     returns (value, slope), and a step is Newton's from the end with the
@@ -239,7 +240,8 @@ def bisect(f, lo, hi, tol, slope=False):
     and e <= 2n + 4: with the two ends, at most twice plain halving's
     evaluations plus 2.
     """
-    (flo, dlo), (fhi, dhi) = (f(lo), f(hi)) if slope else ((f(lo), 0.0), (f(hi), 0.0))
+    ends = (f(lo), f(hi) if fhi is None else fhi)
+    (flo, dlo), (fhi, dhi) = ends if slope else ((ends[0], 0.0), (ends[1], 0.0))
     if not (lo <= hi and flo <= 0.0 <= fhi):
         raise ValidationError(
             f"[{lo}, {hi}] brackets no root: f(lo) = {flo}, f(hi) = {fhi}"

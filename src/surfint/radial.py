@@ -43,7 +43,6 @@ NEG_TOL = 1e-10
 # drifts by 1e-8 to 1e-7 on fine grids
 STURM_TOL = 2.0 * sys.float_info.min
 SWAVE_TOL = 0.0  # the s-wave root is solved until its bracket ends are adjacent floats
-MODE_LIMIT = 1 << 16  # dtn_census refuses a coupling that binds beyond this angular mode
 
 
 @dataclass(frozen=True)
@@ -72,52 +71,11 @@ class RadialGeometry:
 
 def sphere_swave_matching(alpha_tilde, R):
     """Bound state of the delta sphere in 3-D, s-wave sector: mode 0 of
-    sphere_delta_spectrum, which binds iff alpha_tilde R > 1.
-    Returns (count, eigenvalue-or-None); raises as that does."""
-    lams = sphere_delta_spectrum(alpha_tilde, R, 1)[1]
-    return (1, lams[0]) if lams else (0, None)
-
-
-def sphere_delta_spectrum(alpha_tilde, R, count):
-    """Exact bound states of the delta sphere in 3-D.
-
-    Mode l (nu = l + 1/2) binds iff alpha_tilde R > 2l + 1, with one root
-    k of alpha_tilde R I_nu(kR) K_nu(kR) = 1: an eigenvalue -k^2 of
-    multiplicity 2l + 1.  A repulsive sphere (alpha_tilde <= 0) binds
-    nothing.  The Wronskian 1 / (I K) = x (I'/I - K'/K) turns that into
-
-        F(x) = x (I_{nu+1}/I_nu + K_{nu-1}/K_nu)(x) = alpha_tilde R - (2l + 1),   x = kR,
-
-    whose left side, a sum of positive ratios, rises from 0: nothing
-    cancels near the threshold.  Mode 0's left side, x coth x - 1 + x, is
-    at least alpha_tilde R - 1 at k = alpha_tilde / 2, and I K falls in l,
-    so each root lies below the last, which brackets it.  core.bisect
-    solves it to adjacent floats with Newton steps, the slope F' = (x q -
-    x r)(F + 2 nu) / x from the ratios' Riccati equations (_ratio_sum).
-    Only the modes holding the lowest ``count`` eigenvalues are solved.
-    Returns (N, those eigenvalues ascending).  Raises ValidationError for
-    R <= 0 or an infinite product, and when -k^2 overflows."""
-    at, R = float(alpha_tilde), float(R)
-    if not (R > 0.0 and abs(at * R) < math.inf):
-        raise ValidationError(f"need R > 0 and a finite product alpha_tilde R, got ({at}, {R})")
-    xi, err = at * R, _product_error(at, R)  # alpha_tilde R = xi + err exactly
-    bound = max(0, math.ceil(xi) // 2 + (xi % 2 == 1.0 and err > 0.0))  # the modes l with 2l + 1 < xi + err
-    levels, k = [], 0.5 * at
-    for l in range(min(bound, math.isqrt(max(count, 1) - 1) + 1)):  # modes 0..l hold (l + 1)^2
-        excess = (xi - (2 * l + 1)) + err  # the difference is exact near the threshold
-
-        def residual(k):  # F less the excess, rising through 0 at the root, with its k-slope
-            if not k:
-                return -excess, math.nan
-            F, dF = _ratio_sum(l, k * R)
-            return F - excess, R * dF
-
-        if residual(k)[0] > 0.0:  # else the root rounds to k (alpha R above ~38 for l = 0, ~1e8 after)
-            k = core.bisect(residual, 0.0, k, SWAVE_TOL, slope=True)
-        if k * k == math.inf:
-            raise ValidationError(f"eigenvalue -k^2 overflows at k={k}")
-        levels.append(Levels((-k * k,), (multiplicity(3, l),)))
-    return bound * bound, Levels.merged(levels).expanded()[:count]
+    dtn_census(3, delta_field(alpha_tilde), R, 1), which binds iff the
+    exact product alpha_tilde R exceeds 1.  Returns (count, eigenvalue-or-
+    None); raises as dtn_census does."""
+    N, levels = dtn_census(3, core.delta_field(alpha_tilde), R, 1)
+    return (1, levels.eigenvalues[0]) if N else (0, None)
 
 
 def dtn_census(dimension, field, R, count):
@@ -133,47 +91,77 @@ def dtn_census(dimension, field, R, count):
         R D(k) = diag(p + x I_{nu+1}/I_nu, q + x K_{nu-1}/K_nu)(x),   x = kR,
 
     with nu = m and (p, q) = (m, m) in 2-D, nu = m + 1/2 and (p, q) = (m,
-    m + 1) in 3-D (_ratios).  D rises with k and with the mode, so each
-    eigenvalue branch of D(k) - Theta rises strictly with k: the mode
-    binds as many states as D(0+) - Theta has negative eigenvalues, and
-    the root of each branch falls from mode to mode.  The 2x2 determinant
-    uses det Theta = alpha/beta, so a zero that is structural (2-D mode 0
-    at alpha = 0) stays exact.
+    m + 1) in 3-D (_ratios).  D rises with k, so each eigenvalue branch of
+    D(k) - Theta rises strictly with k: the mode binds as many states as
+    R D(0+) - R Theta = diag(p, q) - R Theta has negative eigenvalues, and
+    the root of each branch falls from mode to mode.  On the delta sphere
+    (c = (1, 1)) mode l binds iff alpha R > 2l + 1, at the root of alpha R
+    I_nu K_nu = 1.  The 2x2 determinant uses det Theta = alpha/beta, so a
+    zero that is structural (2-D mode 0 at alpha = 0) stays exact.
 
-    Termination.  The count runs up from mode 0 and stops at the first
-    mode that binds nothing, by mode floor(R s) + 1 at the latest, s the
-    largest root of core.line_roots (Theta's largest eigenvalue, or
-    alpha/c for a constrained coupling); R s must be below MODE_LIMIT.
-    Then the lowest levels are taken one per pass, at most N passes: the
-    head of branch 0 (the deeper root of a mode) is solved, and the
-    head of branch 1 only when its sign at that k says it lies deeper.
-    Each root is solved on (0, hi] to adjacent floats by core.bisect's
-    Newton steps, about 7 residuals a root where plain halving takes 53
-    + log2(hi/k), and never more than twice that plus 2: hi is the root
-    before it on its branch, the branch-0 root of its mode for branch 1,
-    or 4 max(s, 1/R) for mode 0, past which both ratios exceed 3x/4 and
-    D - Theta is positive definite.  The slopes come from the Riccati
-    equations d(x r)/dx = (x^2 - (x r)^2 - 2 nu x r)/x and d(x q)/dx =
-    ((x q)^2 + 2 nu x q - x^2)/x of the two ratios: w_i (x r)' + w_e (x
-    q)' on the constrained fold, and the derivative mean' -+ (A - C)(A' -
-    C') / (4 half) of the 2x2 eigenvalues mean -+ half on a free coupling.
+    Count.  From mode to mode the eigenvalues of diag(p, q) - R Theta rise
+    by exactly 1, so branch j binds in a run of modes 0..L_j - 1, and N is
+    the sum of L_j^2 in 3-D, of 2 L_j - 1 over L_j >= 1 in 2-D.  L_j is
+    found by halving the modes below floor(R s) + 2, s the largest root
+    of core.line_roots (Theta's largest eigenvalue, or alpha/c for a
+    constrained coupling), past which no mode binds.  A mode is decided by
+    the sign of its constant term, c^H (diag(p, q) - R Theta) c or the
+    determinant: in floats, or in Fraction on the float inputs where the
+    float lies within a rounding bound of 0.  At an exact threshold the
+    branch starts at 0, so the mode binds nothing there.
 
-    Raises ValidationError for R outside (0, inf), an R s beyond
-    MODE_LIMIT, and an eigenvalue -k^2 to be reported outside the normal
-    float range (it is never reported as -0.0 or -inf).
+    Termination.  The lowest levels are taken one per pass, at most N
+    passes, walking the runs lazily: the head of branch 0 (the deeper
+    root of a mode) is solved, and the head of branch 1 only when its
+    sign at that k says it lies deeper.  Each root is solved on (0, hi] to
+    adjacent floats by core.bisect's Newton steps, about 7 residuals a
+    root where plain halving takes 53 + log2(hi/k), and never more than
+    twice that plus 2: hi is the root before it on its branch, the
+    branch-0 root of its mode for branch 1, or 4 max(s, 1/R) for mode 0,
+    past which both ratios exceed 3x/4 and D - Theta is positive definite.
+    The slopes come from the Riccati equations d(x r)/dx = (x^2 - (x r)^2
+    - 2 nu x r)/x and d(x q)/dx = ((x q)^2 + 2 nu x q - x^2)/x of the two
+    ratios: w_i (x r)' + w_e (x q)' on the constrained fold, and the
+    derivative mean' -+ (A - C)(A' - C') / (4 half) of the 2x2 eigenvalues
+    mean -+ half on a free coupling.
+
+    Raises ValidationError for R outside (0, inf), for an infinite or NaN
+    x_top = 4 max(R s, 1) (or x_top^2 on a free coupling, whose
+    determinant holds (R s)^2), and for an eigenvalue -k^2 to be reported
+    that overflows or leaves the normal float range (it is never reported
+    as -0.0 or -inf).
     """
     R = float(R)
     if not (dimension in (2, 3) and 0.0 < R < math.inf):
         raise ValidationError(f"need dimension 2 or 3 and 0 < R < inf, got ({dimension}, {R})")
+    free = field.kind != core.CONSTRAINED
     s = max(core.line_roots(field.alpha, field.beta, field.gamma))
-    if not R * s < MODE_LIMIT:  # an infinite or NaN root included
-        raise ValidationError(f"the coupling binds up to mode R s = {R * s:.6g}, beyond {MODE_LIMIT}")
-    if field.kind == core.CONSTRAINED:
-        wi, we = (abs(c) ** 2 for c in field.constraint_coefficients())
-        aR, aR_err = field.alpha * R, _product_error(field.alpha, R)  # alpha R = aR + aR_err exactly
-    else:
+    k_top = 4.0 * max(s, 1.0 / R)
+    x_top = R * k_top
+    if not x_top * (x_top if free else 1.0) < math.inf:  # an infinite or NaN root included
+        raise ValidationError(f"the coupling's scale R s = {R * s:.6g} is out of range")
+    g = complex(field.gamma)
+    w_minus, w_plus = abs(1.0 - g / 2.0) ** 2, abs(1.0 + g / 2.0) ** 2  # |c_i|^2, |c_e|^2
+    if free:
         t11, t12, t22 = core.theta_entries(field)
         det_theta, b = field.alpha / field.beta, R * abs(t12)
+        theta_scale = (w_plus + w_minus) / abs(field.beta) + 0.5 * abs(field.alpha)  # bounds |t11| + |t22|
+    else:
+        aR, aR_err = field.alpha * R, _product_error(field.alpha, R)  # alpha R = aR + aR_err exactly
+
+    exact = {}  # a structural zero (2-D mode 0 at alpha = 0) takes the exact path at every x
+
+    def constant(p, q):  # c^H R (D(0+) - Theta) c, or det R (D(0+) - Theta), exact to rounding near 0
+        if free:
+            value = p * q - R * (p * t22 + q * t11) + R * R * det_theta
+            scale = (p + R * theta_scale) * (q + R * theta_scale)
+        else:
+            value, scale = (w_minus * p + w_plus * q - aR) - aR_err, w_minus * p + w_plus * q + abs(aR)
+        if abs(value) > 2.0 ** -48 * scale:
+            return value
+        if (p, q) not in exact:
+            exact[p, q] = float(_exact_constant(field, R, p, q))
+        return exact[p, q]
 
     def branches(mode, x):  # (value, x-slope) of each eigenvalue of R (D - Theta), or of c^H R (D - Theta) c
         nu = mode + 0.5 * (dimension - 2)
@@ -181,21 +169,28 @@ def dtn_census(dimension, field, R, count):
         xr, xq = _ratios(nu, x)
         dr, dq = (math.nan, math.nan) if not x else (
             (x * x - xr * xr - 2.0 * nu * xr) / x, (xq * xq + 2.0 * nu * xq - x * x) / x)
-        if field.kind == core.CONSTRAINED:
-            return ((((wi * p + we * q - aR) - aR_err) + (wi * xr + we * xq), wi * dr + we * dq),)
+        if not free:
+            return ((constant(p, q) + (w_minus * xr + w_plus * xq), w_minus * dr + w_plus * dq),)
         P, Q = p - R * t11, q - R * t22
         A, C = P + xr, Q + xq
-        det = (p * q - R * (p * t22 + q * t11) + R * R * det_theta) + xr * C + xq * P
+        det = constant(p, q) + xr * C + xq * P
         mean, half = 0.5 * (A + C), math.hypot(0.5 * (A - C), b)
         dmean, dhalf = 0.5 * (dr + dq), 0.25 * (A - C) * (dr - dq) / half if half else math.nan
         return ((mean - half if mean <= 0.0 else det / (mean + half), dmean - dhalf),
                 (mean + half if mean >= 0.0 else det / (mean - half), dmean + dhalf))
 
-    counts = []
-    while not counts or counts[-1]:
-        counts.append(sum(mu < 0.0 for mu, _ in branches(len(counts), 0.0)))
-    chains = [[m for m, n in enumerate(counts) if n > j] for j in (0, 1)]
-    found, last = {}, [4.0 * max(s, 1.0 / R)] * 2
+    def run_length(j, hi):  # L_j: the first mode below hi in which branch j binds nothing
+        lo = 0
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (mid + 1, hi) if branches(mid, 0.0)[j][0] < 0.0 else (lo, mid)
+        return lo
+
+    runs = [run_length(0, int(max(R * s, 0.0) * (1.0 + 2.0 ** -40)) + 2)]  # the margin covers R s's rounding
+    if free:
+        runs.append(run_length(1, runs[0]))
+    N = sum(L * L if dimension == 3 else 2 * L - 1 for L in runs if L)
+    found, last = {}, [k_top] * 2
 
     def solve(mode, j):  # the root of branch j in this mode
         hi = min(last[j], found.get((mode, 0), math.inf))
@@ -204,25 +199,42 @@ def dtn_census(dimension, field, R, count):
             value, slope = branches(mode, k * R)[j]
             return value, R * slope
 
-        k = hi
-        if residual(hi)[0] > 0.0:  # else the root rounds to hi
-            k = core.bisect(residual, 0.0, hi, 0.0, slope=True)
+        at_hi = residual(hi)  # at or below 0 where the root rounds to hi
+        k = hi if at_hi[0] <= 0.0 else core.bisect(residual, 0.0, hi, 0.0, slope=True, fhi=at_hi)
         if not sys.float_info.min <= k * k < math.inf:
-            raise ValidationError(f"eigenvalue -k^2 leaves the normal float range at k={k!r} (mode {mode})")
+            what = "overflows" if k * k == math.inf else "leaves the normal float range"
+            raise ValidationError(f"eigenvalue -k^2 {what} at k={k!r} (mode {mode})")
         found[mode, j] = last[j] = k
         return k
 
     levels, taken, heads = [], 0, [0, 0]
-    while taken < count and (live := [j for j in (0, 1) if heads[j] < len(chains[j])]):
+    while taken < count and (live := [j for j, L in enumerate(runs) if heads[j] < L]):
         j = live[0]
-        mode = chains[j][heads[j]]
+        mode = heads[j]
         k = found[mode, j] if (mode, j) in found else solve(mode, j)
-        if len(live) == 2 and branches(chains[1][heads[1]], k * R)[1][0] < 0.0:  # branch 1's head lies deeper
-            j, mode = 1, chains[1][heads[1]]
+        if len(live) == 2 and branches(heads[1], k * R)[1][0] < 0.0:  # branch 1's head lies deeper
+            j, mode = 1, heads[1]
             k = solve(mode, 1)
         levels.append(Levels((-k * k,), (multiplicity(dimension, mode),)))
         taken, heads[j] = taken + multiplicity(dimension, mode), heads[j] + 1
-    return sum(multiplicity(dimension, m) * n for m, n in enumerate(counts)), Levels.merged(levels)
+    return N, Levels.merged(levels)
+
+
+def _exact_constant(field, R, p, q):
+    """The constant term of dtn_census at (p, q), as a Fraction of the
+    float inputs: |c_i|^2 p + |c_e|^2 q - alpha R, or p q - R (p Theta_22
+    + q Theta_11) + R^2 alpha/beta, with |1 -+ g/2|^2 = (1 -+ Re g/2)^2 +
+    (Im g/2)^2."""
+    from fractions import Fraction  # imported here: it loads decimal, which start-up need not pay for
+
+    a, b, R = Fraction(field.alpha), Fraction(field.beta), Fraction(R)
+    g = complex(field.gamma)
+    gr, gi = Fraction(g.real) / 2, Fraction(g.imag) / 2
+    w_minus, w_plus = (1 - gr) ** 2 + gi ** 2, (1 + gr) ** 2 + gi ** 2
+    if not b:
+        return w_minus * p + w_plus * q - a * R
+    t11, t22 = w_plus / b + a / 4, w_minus / b + a / 4
+    return p * q - R * (p * t22 + q * t11) + R * R * a / b
 
 
 def _product_error(a, b):
@@ -232,22 +244,6 @@ def _product_error(a, b):
     a1, b1 = (134217729.0 * m - (134217729.0 * m - m) for m in (ma, mb))
     a2, b2, p = ma - a1, mb - b1, ma * mb
     return math.ldexp(((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2, ea + eb)
-
-
-def _ratio_sum(l, x):
-    """(F, dF/dx) for F = x (I_{nu+1}/I_nu + K_{nu-1}/K_nu)(x), nu = l +
-    1/2, x > 0.  F is the sum of _ratios, except that from x = 32 nu on
-    (l >= 1) it sums the two large-x series before it scales them by x;
-    the Riccati equations of the ratios give dF/dx = (x q - x r)(F + 2
-    nu) / x."""
-    nu = l + 0.5
-    if l and x >= 32.0 * nu:
-        r, q = _large_x_series(nu, x), _large_x_series(-nu, -x)
-        F, dF_x = x * (r + q), q - r
-    else:
-        xr, xq = _ratios(nu, x)
-        F, dF_x = xr + xq, (xq - xr) / x
-    return F, dF_x * (F + 2.0 * nu)
 
 
 def _ratios(nu, x):
@@ -261,9 +257,9 @@ def _ratios(nu, x):
     fraction x^2 / (2(nu + 1) + x^2 / (2(nu + 2) + ...)), evaluated from
     the bottom; their terms are positive, so nothing cancels or overflows.
     Fraction level j damps the error below it by r_{nu+j}^2 <= (x / (nu + j
-    + x))^2, r the I ratio, so 30 + sqrt(nu^2 + 60x) - nu levels truncate
-    below 1e-18; nu = 1/2 needs 5 + 6x below x = 1, as each damps by x^2 /
-    ((2j + 1)(2j + 3)).
+    + x))^2, r the I ratio, so the fraction stops at the first depth where
+    the product of these bounds falls below 1e-18 (16 levels at x = 2.5,
+    nu = 0).
     """
     if x == 0.0:
         return 0.0, 0.0
@@ -275,7 +271,10 @@ def _ratios(nu, x):
     q = 1.0 if two_nu % 2 else _k1_k0(x) / x  # K_{nu-1}/K_nu at the lowest nu, 1/2 or 0
     for b in range(two_nu % 2, two_nu, 2):  # b = 2 nu' for nu' = nu mod 1 .. nu - 1
         q = 1.0 / (q + b / x)
-    depth = 5 + int(6.0 * x) if nu == 0.5 else 30 + int(math.sqrt(nu * nu + 60.0 * x) - nu)
+    depth, damping = 0, 1.0
+    while damping > 1e-9:  # the square root of the damping bound
+        depth += 1
+        damping *= x / (nu + depth + x)
     xx, s = x * x, 0.0
     for b in range(two_nu + 2 * depth, two_nu, -2):  # b = 2(nu + j), j = depth..1
         s = xx / (b + s)

@@ -805,7 +805,7 @@ def test_sweep_threshold_transition_at_one(tmp_path):
     assert counts[0.9] == 0 and counts[1.0] == 0
     assert counts[1.01] == 1 and counts[1.1] == 1
     rep = json.loads((out / "report.json").read_text())
-    assert rep["results"]["backend"] == "sphere-delta-exact"
+    assert rep["results"]["backend"] == "radial-exact"
 
 
 def test_sphere_exact_sweep_reports_every_bound_mode(tmp_path):
@@ -1029,21 +1029,21 @@ def test_exact_sphere_sweep_point_is_the_delta_spectrum(tmp_path):
            "sweep": {"parameter": "R", "start": 0.5, "stop": 1.5, "steps": 5},
            "solver": {"eigen_count": 5}}
     for point in sweep_points(tmp_path, doc, "sweep"):
-        N, lams = radial.sphere_delta_spectrum(4.4, point["value"], 5)
-        assert point["eigenvalues"] == lams
+        N, levels = radial.dtn_census(3, core.delta_field(4.4), point["value"], 5)
+        assert point["eigenvalues"] == levels.expanded()[:5]
         assert point["N"] == N
         assert point["m_A"] == core.m_infinity(4.4, 0.0, 0.0)
 
 
 def test_exact_sphere_sweep_through_a_repulsive_sphere(tmp_path):
-    # alpha < 0 binds nothing; the delta-sphere backend says so, as the census does
+    # alpha < 0 binds nothing, and the census says so
     doc = {"task": "sweep", "coupling": {"alpha": 1.0, "beta": 0.0, "gamma": [0.0, 0.0]},
            "geometry": {"kind": "sphere", "R": 1.0},
            "sweep": {"parameter": "alpha", "start": -1.0, "stop": 1.0, "steps": 3}}
     code, out = run_cli(tmp_path, "sweep", doc)
     assert code == 0
     rep = json.loads((out / "report.json").read_text())
-    assert rep["results"]["backend"] == "sphere-delta-exact"
+    assert rep["results"]["backend"] == "radial-exact"
     points = rep["results"]["points"]
     assert [p["N"] for p in points] == [0, 0, 0]
     assert [p["N"] for p in points] == [radial.dtn_census(3, core.delta_field(p["value"]), 1.0, 3)[0]

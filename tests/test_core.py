@@ -280,12 +280,12 @@ def checked_roots(monkeypatch):
     floats (checked at once: the callers' residuals close over loop variables)."""
     bisect, seen = core.bisect, {"roots": 0, "evals": 0, "bad": []}
 
-    def checked(f, lo, hi, tol, slope=False):
+    def checked(f, lo, hi, tol, slope=False, fhi=None):
         def counted(x):
             seen["evals"] += 1
             return f(x)
 
-        root = bisect(counted, lo, hi, tol, slope=slope)
+        root = bisect(counted, lo, hi, tol, slope=slope, fhi=fhi)
         seen["roots"] += 1
         if not _sign_change((lambda x: f(x)[0]) if slope else f, root):
             seen["bad"].append((lo, hi, root))
@@ -304,21 +304,21 @@ def test_every_exact_root_is_a_sign_change_of_its_residual(checked_roots):
         radial.dtn_census(2 + i % 4 // 2, field, rng.uniform(0.5, 2.0), 12)
         a, b = rng.uniform(-2.0, 4.0), rng.uniform(-2.0, 4.0)
         interval.negative_spectrum(interval.IntervalProblem(a, b, gamma, rng.uniform(0.5, 8.0)))
-        radial.sphere_delta_spectrum(rng.uniform(1.0, 60.0), rng.uniform(0.5, 2.0), 50)
+        radial.dtn_census(3, core.delta_field(rng.uniform(1.0, 60.0)), rng.uniform(0.5, 2.0), 50)
     assert checked_roots["bad"] == []
     assert checked_roots["roots"] > 400 and checked_roots["evals"] < 8 * checked_roots["roots"]
 
 
 def test_root_evaluation_counts(checked_roots):
     # residual evaluations for the whole census, the interval's root and
-    # every delta-sphere mode; plain halving took 161, 166, 52 and 1,013
+    # every delta-sphere mode; plain halving takes 161, 166, 52 and 1,017
     def count(solve):
         checked_roots.update(roots=0, evals=0)
         solve()
         return checked_roots["roots"], checked_roots["evals"]
 
-    assert count(lambda: radial.dtn_census(2, core.uniform_field(2.0, 1.0, 0.0), 1.0, 10)) == (3, 19)
-    assert count(lambda: radial.dtn_census(3, core.uniform_field(2.0, 1.0, 0.0), 1.0, 10)) == (3, 20)
+    assert count(lambda: radial.dtn_census(2, core.uniform_field(2.0, 1.0, 0.0), 1.0, 10)) == (3, 16)
+    assert count(lambda: radial.dtn_census(3, core.uniform_field(2.0, 1.0, 0.0), 1.0, 10)) == (3, 17)
     assert count(lambda: interval.negative_spectrum(interval.IntervalProblem(2.0, 2.0, 0.0, 3.0))) == (1, 6)
-    assert count(lambda: radial.sphere_delta_spectrum(40.0, 1.0, 400)) == (19, 111)
+    assert count(lambda: radial.dtn_census(3, core.delta_field(40.0), 1.0, 400)) == (20, 94)
     assert checked_roots["bad"] == []

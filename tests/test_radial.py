@@ -24,6 +24,12 @@ def geom3(R=1.0, R_out=20.0, bc="neumann", mode=0):
     return radial.RadialGeometry(3, R, R_out, bc, mode)
 
 
+def delta_sphere(alpha_tilde, R, count):
+    """N and the lowest ``count`` eigenvalues of the delta sphere, from the census."""
+    N, levels = radial.dtn_census(3, si.delta_field(alpha_tilde), R, count)
+    return N, levels.expanded()[:count]
+
+
 def fd_ladder(geom, field, grids=(128, 256, 512)):
     vals = [radial.radial_fd_spectrum(geom, field, n).eigenvalues[0] for n in grids]
     return radial.richardson(vals)
@@ -91,7 +97,7 @@ def test_sphere_matching_is_mode_zero_of_the_spectrum():
     rng = np.random.default_rng(21)
     for at, R in zip(rng.uniform(0.0, 40.0, 50), rng.uniform(0.1, 3.0, 50)):
         cnt, lam = radial.sphere_swave_matching(at, R)
-        N, lams = radial.sphere_delta_spectrum(at, R, 1)
+        N, lams = delta_sphere(at, R, 1)
         assert (cnt, lam) == ((1, lams[0]) if N else (0, None))
 
 
@@ -125,7 +131,7 @@ def test_fd_matches_sphere_matching():
 @pytest.mark.parametrize("xi", [1.5, 3.5, 4.4, 12.0])
 def test_delta_sphere_spectrum_against_fd_ladders(xi):
     # mode l binds iff xi = alpha R > 2l + 1, once, with multiplicity 2l + 1
-    N, lams = radial.sphere_delta_spectrum(xi, 1.0, 1000)
+    N, lams = delta_sphere(xi, 1.0, 1000)
     bound = [l for l in range(12) if xi > 2 * l + 1]
     assert N == len(lams) == sum(2 * l + 1 for l in bound)
     assert lams == sorted(lams)
@@ -142,7 +148,7 @@ def test_delta_sphere_spectrum_against_fd_ladders(xi):
     fd = radial.assemble_mode_sum(geom3(bc="dirichlet"), field, 256)
     assert fd.N == N
     # only the lowest ``count`` are returned, and the census is unchanged
-    assert radial.sphere_delta_spectrum(xi, 1.0, 2) == (N, lams[:2])
+    assert delta_sphere(xi, 1.0, 2) == (N, lams[:2])
 
 
 def _k_half(l, x):
@@ -169,7 +175,7 @@ def test_delta_sphere_spectrum_brackets_where_the_product_is_finite():
     # alpha R = 400 binds l = 0..199; each bracket (0, k_{l-1}] holds
     # mode l's root, and no ratio of the residual overflows near kR = 0;
     # the high modes are exact to rounding (kve's ratio put them 1e-14 off)
-    N, lams = radial.sphere_delta_spectrum(400.0, 1.0, 40000)
+    N, lams = delta_sphere(400.0, 1.0, 40000)
     assert N == len(lams) == 40000
     assert lams == sorted(lams) and all(math.isfinite(x) and x < 0.0 for x in lams)
     for l in (100, 150, 199):
@@ -181,7 +187,7 @@ def test_delta_sphere_mode_759_against_mpmath():
     # mode 759 of alpha R = 2000 sits at kR = 650.5; its bisection passes
     # kR = 325.8, where kve(759.5, x) overflowed, and the recurrence for
     # K_{nu-1}/K_nu does not
-    N, lams = radial.sphere_delta_spectrum(2000.0, 1.0, 760 ** 2 + 1)
+    N, lams = delta_sphere(2000.0, 1.0, 760 ** 2 + 1)
     assert N == 1000 ** 2 and len(lams) == 760 ** 2 + 1
     x = _mode_root_reference(2000.0, 759, math.sqrt(-lams[759 ** 2]))
     assert abs(lams[759 ** 2] + float(x * x)) <= 1e-15 * float(x * x)
@@ -189,9 +195,10 @@ def test_delta_sphere_mode_759_against_mpmath():
 
 @pytest.mark.parametrize("l", [0, 1, 2, 3, 10, 60, 200, 759])
 def test_bessel_ratio_sum_against_mpmath(l):
-    # each branch (closed form, continued fraction and recurrence, large-x
-    # series from x = 32 nu) to about an ulp; the K recurrence keeps some
-    # rounding of each step where it barely contracts (l < x < 32 nu)
+    # the sum of the two ratios on each branch (closed form, continued
+    # fraction and recurrence, large-x series from x = 32 max(nu, 2)) to
+    # about an ulp; the K recurrence keeps some rounding of each step
+    # where it barely contracts (l < x < 32 nu)
     nu = l + 0.5
     xs = [1e-9, 0.01, 0.3, 0.99, 1.0, 7.0, 0.5 * nu, nu, 4 * nu, 31.9 * nu, 32 * nu, 650.5, 1e6]
     with mpmath.workdps(40):
@@ -200,13 +207,18 @@ def test_bessel_ratio_sum_against_mpmath(l):
             i_ratio = mpmath.besseli(nu_mp + 1, x) / mpmath.besseli(nu_mp, x)
             k_ratio = _k_half(max(l - 1, 0), x) / _k_half(l, x)  # K_{-1/2} = K_{1/2}
             ref = x * (i_ratio + k_ratio)
-            assert abs(radial._ratio_sum(l, x)[0] - ref) <= 6e-16 * ref, x
+            assert abs(sum(radial._ratios(nu, x)) - ref) <= 6e-16 * ref, x
 
 
 @pytest.mark.parametrize("l", [0, 1, 3, 60])
-def test_bessel_ratio_sum_slope_against_mpmath(l):
-    # the Riccati slope (x q - x r)(F + 2 nu) / x is what Newton steps on;
-    # it need not be exact: x q - x r cancels for x >> nu, to about 1e-12
+def test_bessel_ratio_sum_slope_against_mpmath(l, monkeypatch):
+    # the Riccati slope of the census's delta-sphere residual, read from
+    # the residual it hands core.bisect for mode l, is what Newton steps
+    # on; it need not be exact: it cancels for x >> nu, to about 1e-12
+    residuals, bisect = [], si.core.bisect
+    monkeypatch.setattr(si.core, "bisect", lambda f, *a, **kw: residuals.append(f) or bisect(f, *a, **kw))
+    radial.dtn_census(3, si.delta_field(2 * l + 2), 1.0, (l + 1) ** 2)  # R = 1: k is x
+    slope = residuals[l]
     nu = l + 0.5
     with mpmath.workdps(40):
         nu_mp = mpmath.mpf(l) + mpmath.mpf(1) / 2
@@ -217,7 +229,7 @@ def test_bessel_ratio_sum_slope_against_mpmath(l):
 
         for x in (1e-6, 0.3, 1.0, 7.0, nu, 31.9 * nu, 32 * nu, 100 * nu):
             ref = mpmath.diff(F, mpmath.mpf(x))
-            assert abs(radial._ratio_sum(l, x)[1] - ref) <= 1e-12 * abs(ref), x
+            assert abs(slope(x)[1] - ref) <= 1e-12 * abs(ref), x
 
 
 @pytest.mark.parametrize("l", [1, 2])
@@ -228,7 +240,7 @@ def test_delta_sphere_mode_near_threshold_against_mpmath(l, eps):
     # keeps it when alpha R rounds (R = 0.7, 3.0)
     for R in (1.0, 0.7, 3.0):
         at = (2 * l + 1) * (1.0 + eps) / R
-        N, lams = radial.sphere_delta_spectrum(at, R, (l + 1) ** 2)
+        N, lams = delta_sphere(at, R, (l + 1) ** 2)
         with mpmath.workdps(60):
             xi_mp, nu = mpmath.mpf(at) * mpmath.mpf(R), mpmath.mpf(l) + mpmath.mpf(1) / 2
             # started at the small-x root x^2 (1/(2nu + 2) + 1/(2nu - 2)) = xi - (2l + 1)
@@ -252,7 +264,7 @@ def test_delta_sphere_threshold_is_decided_by_the_exact_product(l):
         for _ in range(9):
             if at * R == 2 * l + 1:
                 binds = Fraction(at) * Fraction(R) > 2 * l + 1
-                N, lams = radial.sphere_delta_spectrum(at, R, (l + 1) ** 2)
+                N, lams = delta_sphere(at, R, (l + 1) ** 2)
                 assert N == (l + binds) ** 2
                 assert len(lams) == N and (not binds or -1e-15 < lams[-1] < 0.0)
                 seen.add(binds)
@@ -264,7 +276,7 @@ def test_delta_sphere_threshold_is_decided_by_the_exact_product(l):
 def test_delta_sphere_each_root_below_the_previous(xi):
     # I K falls in l, so mode l's root is strictly below mode l - 1's:
     # the premise of the bracket (0, k_{l-1})
-    N, lams = radial.sphere_delta_spectrum(xi, 1.0, 10 ** 6)
+    N, lams = delta_sphere(xi, 1.0, 10 ** 6)
     per_mode = [lams[l * l] for l in range(math.isqrt(N))]
     assert all(a < b for a, b in zip(per_mode, per_mode[1:]))
 
@@ -275,7 +287,7 @@ def test_delta_sphere_roots_within_rounding_of_the_last(xi):
     # lambda = -xi^2/4 + l(l + 1), within rounding of mode l - 1 at this
     # xi, where the bracket (0, k_{l-1}) need not change sign in floats;
     # past kR = 2.5e9, where scipy's ive is NaN, the large-x series holds
-    N, lams = radial.sphere_delta_spectrum(xi, 1.0, 100)
+    N, lams = delta_sphere(xi, 1.0, 100)
     assert N == (math.ceil(xi) // 2) ** 2
     for l in range(10):
         expected = -xi * xi / 4 + l * (l + 1)
@@ -620,6 +632,74 @@ def test_census_counts_the_roots_of_the_secular_equation():
     assert len(regimes) >= 19
 
 
+def _exact_inertia(dimension, field, R):
+    """N as the negative inertia of diag(p, q) - R Theta, or of its fold
+    c^H (diag(p, q) - R Theta) c = |c_i|^2 p + |c_e|^2 q - alpha R on a
+    constrained coupling, summed over the modes in Fraction on the float
+    inputs, with Theta from its definition (core.theta_entries)."""
+    a, b, R = Fraction(field.alpha), Fraction(field.beta), Fraction(R)
+    g = complex(field.gamma)
+    gr, gi = Fraction(g.real) / 2, Fraction(g.imag) / 2  # g/2
+    if b:
+        t11 = ((1 + gr) ** 2 + gi ** 2) / b + a / 4
+        t22 = ((1 - gr) ** 2 + gi ** 2) / b + a / 4
+        # Theta_12 = (conj(g)/2 - 1)(1 + g/2)/b + a/4
+        re, im = (gr - 1) * (1 + gr) + gi * gi, (gr - 1) * gi - gi * (1 + gr)
+        t12_sq = (re / b + a / 4) ** 2 + (im / b) ** 2
+    total, mode = 0, 0
+    while True:
+        p, q = (mode, mode) if dimension == 2 else (mode, mode + 1)
+        if b:
+            A, C = p - R * t11, q - R * t22
+            det, trace = A * C - R * R * t12_sq, A + C
+            negative = 2 if det > 0 and trace < 0 else int(det < 0 or (det == 0 and trace < 0))
+        else:  # c_i = 1 - conj(g)/2, c_e = 1 + conj(g)/2
+            negative = int(((1 - gr) ** 2 + gi ** 2) * p + ((1 + gr) ** 2 + gi ** 2) * q - a * R < 0)
+        if not negative:
+            return total
+        total += radial.multiplicity(dimension, mode) * negative
+        mode += 1
+
+
+def test_census_at_mode_thresholds_is_the_exact_inertia():
+    # couplings within a few ulp of alpha, on either side, of the alpha at
+    # which the constant term of one mode vanishes, in both dimensions,
+    # free and constrained: rounding must not decide the mode
+    rng = np.random.default_rng(27)
+    placed = 0
+    for i in range(80):
+        dim, free = 2 + i % 2, i % 4 >= 2
+        g = complex(*rng.uniform(-2.5, 2.5, 2))
+        R = float(rng.uniform(0.5, 2.0))
+        b = float(rng.choice((-1.0, 1.0)) * rng.uniform(0.3, 3.0)) if free else 0.0
+        mode = int(rng.integers(1 if dim == 2 else 0, 7))  # 2-D mode 0 binds at every alpha > 0
+        p, q = (mode, mode) if dim == 2 else (mode, mode + 1)
+        w_minus, w_plus = abs(1 - g / 2) ** 2, abs(1 + g / 2) ** 2
+        if free:  # det(diag(p, q) - R Theta) is linear in alpha
+            at = (R * (p * w_minus + q * w_plus) / b - p * q) / (R * R / b - R * (p + q) / 4)
+        else:
+            at = (p * w_minus + q * w_plus) / R
+        if not 0.0 < abs(at) < 100.0:
+            continue
+        placed += 1
+        for _ in range(4):
+            at = math.nextafter(at, -math.inf)
+        for _ in range(9):
+            field = si.uniform_field(at, b, g)
+            assert radial.dtn_census(dim, field, R, 1)[0] == _exact_inertia(dim, field, R), (dim, at, b, g, R)
+            at = math.nextafter(at, math.inf)
+    assert placed >= 60
+    # a rounded constant term decides a whole mode of these the wrong way (100 and 661)
+    for dim, coupling, R, N in ((3, (9.835308358817532, 0.0, 0.25j), 1.962, 81),
+                                (3, (49.48761061946903, 0.3, 0.5 + 0.2j), 1.0, 712)):
+        field = si.uniform_field(*coupling)
+        assert radial.dtn_census(dim, field, R, 1)[0] == N == _exact_inertia(dim, field, R)
+    # the delta sphere binds modes 0..bound - 1, 2.5e11 and 2.5e27 states
+    for alpha_R in (1e6, 1e14):
+        bound = math.ceil(alpha_R) // 2
+        assert radial.dtn_census(3, si.delta_field(alpha_R), 1.0, 1)[0] == bound ** 2
+
+
 @pytest.mark.parametrize("dim, field, R", [
     (2, si.uniform_field(2.0, 1.0, 0.0), 1.0),
     (3, si.uniform_field(2.0, 1.0, 0.0), 1.0),
@@ -659,14 +739,22 @@ def test_census_of_coupling_two_one_zero():
 
 @pytest.mark.parametrize("alpha_R", [1.5, 4.4, 12.0, 40.0, 400.0])
 def test_census_of_the_delta_sphere_is_the_delta_spectrum(alpha_R):
-    # both take alpha R as the exact product; they part, by 2 ulp, only
-    # where the census sums the large-x series after scaling them
-    for R in (1.0, 0.7, 3.0):
-        N, lams = radial.sphere_delta_spectrum(alpha_R / R, R, 40)
-        got_N, levels = radial.dtn_census(3, si.delta_field(alpha_R / R), R, 40)
-        got = levels.expanded()[:40]
-        assert got_N == N and len(got) == len(lams)
-        assert all(abs(g - w) <= 2 * math.ulp(w) for g, w in zip(got, lams))
+    # mode l binds iff the exact product alpha R exceeds 2l + 1, at the
+    # root x of alpha R I_nu(x) K_nu(x) = 1: within 2 ulp of mpmath's at
+    # R = 1, where x = k, and 3 ulp where x = kR rounds (alpha R = 400,
+    # R = 3 takes them at mode 4)
+    for R, ulps in ((1.0, 2), (0.7, 3), (3.0, 3)):
+        at = alpha_R / R
+        N, levels = radial.dtn_census(3, si.delta_field(at), R, 40)
+        bound = math.isqrt(N)
+        assert N == bound ** 2
+        assert bound == sum(1 for l in range(400) if Fraction(at) * Fraction(R) > 2 * l + 1)
+        assert levels.multiplicities == tuple(2 * l + 1 for l in range(len(levels.eigenvalues)))
+        for l, lam in enumerate(levels.eigenvalues):
+            with mpmath.workdps(40):
+                x = _mode_root_reference(mpmath.mpf(at) * mpmath.mpf(R), l, math.sqrt(-lam) * R)
+                want = float(-(x / R) ** 2)
+            assert abs(lam - want) <= ulps * math.ulp(want), (l, lam, want)
 
 
 def test_census_solves_only_the_counted_roots(monkeypatch):
@@ -711,8 +799,11 @@ def test_census_refuses_an_eigenvalue_that_underflows(alpha_R):
 
 
 def test_census_validation():
-    with pytest.raises(ValidationError, match="MODE_LIMIT|beyond"):
-        radial.dtn_census(2, si.uniform_field(0.0, 1e-6, 0.0), 1.0, 1)
+    # a delta' circle of strength 1e-6 binds on one branch in the modes m
+    # < R s = 2 / beta, modes 0..2e6 as the float beta lies below 1e-6:
+    # 2 L - 1 states for L = 2e6 + 1, counted in closed form
+    N, levels = radial.dtn_census(2, si.uniform_field(0.0, 1e-6, 0.0), 1.0, 1)
+    assert N == 2 * 2_000_001 - 1 and levels.N >= 1
     for dim, R in ((2, 0.0), (3, -1.0), (4, 1.0), (2, math.inf)):
         with pytest.raises(ValidationError):
             radial.dtn_census(dim, si.delta_field(2.0), R, 1)

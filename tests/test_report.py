@@ -41,7 +41,8 @@ def test_circle_mode_levels_carry_multiplicity_two():
 
 
 def test_delta_sphere_mode_one_appears_three_times():
-    N, lams = radial.sphere_delta_spectrum(4.4, 1.0, 5)
+    N, levels = radial.dtn_census(3, si.delta_field(4.4), 1.0, 5)
+    lams = levels.expanded()[:5]
     assert N == 4 == len(lams)  # modes 0 and 1 bind: 1 + 3
     swave = radial.sphere_swave_matching(4.4, 1.0)[1]
     assert lams[0] == swave < lams[1] == lams[2] == lams[3]
