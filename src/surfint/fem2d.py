@@ -23,11 +23,15 @@ real tridiagonal does.  The pencil is assembled in that gauge, and the
 physical function of a reduced vector x is phase * (T x); psi = 0 for
 real gamma.
 
-Ring angular counts are powers of two that double (at most) from one ring
-to the next, so coarse-to-fine strips need only one transition pattern
-and halving the target width h roughly doubles every count; the minimum
-triangle angle stays above 20 degrees by construction and is measured,
-not assumed (MeshQualityFailure otherwise).
+Ring angular counts are powers of two, at least 8, clamped ring by ring
+away from the interface so that the outer ring of two neighbours has one
+to two times the count c of the inner one; a power of two in [c, 2c] is
+c or 2c, so each strip is straight or doubling, and halving the target
+width h roughly doubles every count.  The minimum triangle angle stays
+above 20 degrees by construction and is measured, not assumed
+(MeshQualityFailure otherwise, also when floats cannot measure it).
+refine_mesh keeps the coarse vertex indices and appends the edge
+midpoints, so coarse and refined P1 spaces nest.
 """
 
 from __future__ import annotations
@@ -71,17 +75,17 @@ class InterfaceMesh:
         return self.vertices.shape[0]
 
 
-def _pow2_count(ideal, lo=8):
-    """Closest power of two to ideal, at least lo."""
-    if ideal <= lo:
-        return lo
-    return max(lo, 2 ** int(round(math.log2(ideal))))
+def _pow2_count(ideal):
+    """Closest power of two to ideal, at least 8."""
+    return 8 if ideal <= 8 else 2 ** int(round(math.log2(ideal)))
 
 
 def _ring_counts(radii, h, anchor, inward):
     """Power-of-two angular counts with ratios in {1, 2} between rings.
 
-    anchor is the fixed count at the ring adjacent to the interface.
+    anchor is the fixed count at the ring adjacent to the interface.  Every
+    count is a power of two >= 8.  Inward, ring i gets between half and
+    all of ring i + 1's count; outward, between all and twice ring i - 1's.
     """
     raw = [_pow2_count(2.0 * math.pi * r / h) for r in radii]
     counts = list(raw)
@@ -99,12 +103,25 @@ def _ring_counts(radii, h, anchor, inward):
     return counts
 
 
+def _strip(a, b):
+    """Triangles between the ring ids a and those of the next ring out, b.
+
+    len(b) is len(a) or 2 len(a).  At each a0 (next a1) come (a0, b0, b1)
+    and (a0, b1, a1), then (a1, b1, b2) when the count doubles.
+    """
+    s = len(b) // len(a)
+    a1 = np.roll(a, -1)
+    b0, b1, b2 = (np.roll(b, -k)[::s] for k in range(3))
+    corners = [a, b0, b1, a, b1, a1] + ([a1, b1, b2] if s == 2 else [])
+    return np.stack(corners, axis=1).reshape(-1, 3)
+
+
 def build_mesh(R, R_out, h_target):
     """Structured polar mesh of the disk r < R_out with interface at r = R.
 
     Deterministic in its arguments.  Raises MeshQualityFailure if any
-    triangle angle falls below 20 degrees (measured on the generated
-    mesh, not assumed from the construction).
+    triangle angle falls below 20 degrees or cannot be measured in floats
+    (measured on the generated mesh, not assumed from the construction).
     """
     if not (0 < R < R_out):
         raise ValidationError(f"need 0 < R < R_out, got ({R}, {R_out})")
@@ -119,96 +136,41 @@ def build_mesh(R, R_out, h_target):
     counts_in = _ring_counts(radii_in, h_target, n_interface, inward=True)
     counts_out = _ring_counts([R] + radii_out, h_target, n_interface, inward=False)[1:]
 
-    verts = [(0.0, 0.0)]
-    ring_ids_in = []
-    for r, c in zip(radii_in, counts_in):
-        ids = list(range(len(verts), len(verts) + c))
-        verts.extend(
-            (r * math.cos(2 * math.pi * i / c), r * math.sin(2 * math.pi * i / c))
-            for i in range(c)
-        )
-        ring_ids_in.append(ids)
-    # outer copy of the interface ring: same coordinates, fresh indices
-    inner_iface = ring_ids_in[-1]
-    outer_iface = list(range(len(verts), len(verts) + n_interface))
-    verts.extend(verts[i] for i in inner_iface)
-    ring_ids_out = [outer_iface]
-    for r, c in zip(radii_out, counts_out):
-        ids = list(range(len(verts), len(verts) + c))
-        verts.extend(
-            (r * math.cos(2 * math.pi * i / c), r * math.sin(2 * math.pi * i / c))
-            for i in range(c)
-        )
-        ring_ids_out.append(ids)
+    # the centre, then every ring as a run of indices; the outer copy of the
+    # interface ring follows the inner one at the same coordinates
+    rings = [*zip(radii_in, counts_in), (radii_in[-1], n_interface), *zip(radii_out, counts_out)]
+    starts = np.cumsum([1] + [c for _, c in rings])
+    ids = [np.arange(s, s + c) for s, (_, c) in zip(starts, rings)]
+    angles = [2 * math.pi * np.arange(c) / c for _, c in rings]
+    verts = [np.zeros((1, 2))] + [r * np.stack([np.cos(t), np.sin(t)], axis=1) for (r, _), t in zip(rings, angles)]
 
-    tris = []
-
-    def strip(inner_ids, outer_ids):
-        ci, co = len(inner_ids), len(outer_ids)
-        if co == ci:
-            for i in range(ci):
-                a0, a1 = inner_ids[i], inner_ids[(i + 1) % ci]
-                b0, b1 = outer_ids[i], outer_ids[(i + 1) % co]
-                tris.append((a0, b0, b1))
-                tris.append((a0, b1, a1))
-        elif co == 2 * ci:
-            for i in range(ci):
-                a0, a1 = inner_ids[i], inner_ids[(i + 1) % ci]
-                b0, b1, b2 = (
-                    outer_ids[2 * i],
-                    outer_ids[2 * i + 1],
-                    outer_ids[(2 * i + 2) % co],
-                )
-                tris.append((a0, b0, b1))
-                tris.append((a0, b1, a1))
-                tris.append((a1, b1, b2))
-        else:
-            raise ValidationError(
-                f"ring counts {ci} -> {co} differ by more than a factor 2"
-            )
-
-    c1 = counts_in[0]
-    for i in range(c1):
-        tris.append((0, ring_ids_in[0][i], ring_ids_in[0][(i + 1) % c1]))
-    for j in range(len(ring_ids_in) - 1):
-        strip(ring_ids_in[j], ring_ids_in[j + 1])
-    for j in range(len(ring_ids_out) - 1):
-        strip(ring_ids_out[j], ring_ids_out[j + 1])
-
-    iface_edges = [
-        (
-            inner_iface[i],
-            outer_iface[i],
-            inner_iface[(i + 1) % n_interface],
-            outer_iface[(i + 1) % n_interface],
-        )
-        for i in range(n_interface)
-    ]
-    last = ring_ids_out[-1]
-    outer_edges = [(last[i], last[(i + 1) % len(last)]) for i in range(len(last))]
+    fan = np.stack([np.zeros_like(ids[0]), ids[0], np.roll(ids[0], -1)], axis=1)
+    n_in = len(radii_in)  # no strip joins the interface ring to its copy
+    strips = [_strip(a, b) for j, (a, b) in enumerate(zip(ids, ids[1:])) if j != n_in - 1]
+    inner, outer, last = ids[n_in - 1], ids[n_in], ids[-1]
 
     mesh = InterfaceMesh(
-        vertices=np.asarray(verts, dtype=float),
-        triangles=np.asarray(tris, dtype=np.int32),
-        interface_edges=np.asarray(iface_edges, dtype=np.int32),
-        outer_edges=np.asarray(outer_edges, dtype=np.int32),
+        vertices=np.concatenate(verts),
+        triangles=np.concatenate([fan, *strips]).astype(np.int32),
+        interface_edges=np.stack([inner, outer, np.roll(inner, -1), np.roll(outer, -1)], axis=1).astype(np.int32),
+        outer_edges=np.stack([last, np.roll(last, -1)], axis=1).astype(np.int32),
     )
     q = min_angle_degrees(mesh)
-    if q < MIN_ANGLE_DEG:
+    if not q >= MIN_ANGLE_DEG:
         raise MeshQualityFailure(f"minimum triangle angle {q:.2f} deg < {MIN_ANGLE_DEG}")
     return mesh
 
 
 def min_angle_degrees(mesh):
+    """Smallest triangle angle, nan when the coordinates over- or underflow."""
     p = mesh.vertices[mesh.triangles]
     angles = []
-    for i in range(3):
-        u = p[:, (i + 1) % 3] - p[:, i]
-        v = p[:, (i + 2) % 3] - p[:, i]
-        cosang = np.einsum("ij,ij->i", u, v) / (
-            np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
-        )
-        angles.append(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))))
+    with np.errstate(all="ignore"):
+        for i in range(3):
+            u = p[:, (i + 1) % 3] - p[:, i]
+            v = p[:, (i + 2) % 3] - p[:, i]
+            cosang = np.einsum("ij,ij->i", u, v) / (np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
+            angles.append(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))))
     return float(np.min(angles))
 
 
@@ -219,44 +181,35 @@ def refine_mesh(mesh):
     space contains the coarse one exactly; use this for nested-space
     (variational monotonicity) checks.  build_mesh at h/2 is the right
     tool when geometric accuracy matters.
+
+    The coarse vertices keep their indices, so a coarse P1 vector is the
+    head of its refined interpolant; the midpoints follow, one per coarse
+    triangle edge, in the order the triangles first meet the edge.  Every
+    interface and outer edge is a triangle edge and splits at its midpoint.
     """
-    verts = [tuple(v) for v in mesh.vertices]
-    midpoint = {}
+    n = mesh.n_vertices
+    tris = mesh.triangles.astype(np.int64)
+    ends = np.sort(tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)  # (a, b), (b, c), (c, a)
+    keys, first, inverse = np.unique(ends[:, 0] * n + ends[:, 1], return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))  # edge index in order of first appearance
+    lo, hi = ends[np.sort(first)].T
+    verts = np.concatenate([mesh.vertices, 0.5 * (mesh.vertices[lo] + mesh.vertices[hi])])
 
     def mid(i, j):
-        key = (min(i, j), max(i, j))
-        if key not in midpoint:
-            midpoint[key] = len(verts)
-            verts.append(
-                (
-                    0.5 * (verts[i][0] + verts[j][0]),
-                    0.5 * (verts[i][1] + verts[j][1]),
-                )
-            )
-        return midpoint[key]
+        return n + rank[np.searchsorted(keys, np.minimum(i, j) * n + np.maximum(i, j))]
 
-    tris = []
-    for a, b, c in mesh.triangles:
-        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-        tris.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
-
-    iface = []
-    for ii, io, ji, jo in mesh.interface_edges:
-        mi = mid(ii, ji)
-        mo = mid(io, jo)
-        iface.append((ii, io, mi, mo))
-        iface.append((mi, mo, ji, jo))
-    outer = []
-    for i, j in mesh.outer_edges:
-        m = mid(i, j)
-        outer.append((i, m))
-        outer.append((m, j))
-
+    a, b, c = tris.T
+    ab, bc, ca = (n + rank[inverse]).reshape(-1, 3).T
+    ii, io, ji, jo = mesh.interface_edges.astype(np.int64).T
+    mi, mo = mid(ii, ji), mid(io, jo)
+    i, j = mesh.outer_edges.astype(np.int64).T
+    m = mid(i, j)
     return InterfaceMesh(
-        vertices=np.asarray(verts, dtype=float),
-        triangles=np.asarray(tris, dtype=np.int32),
-        interface_edges=np.asarray(iface, dtype=np.int32),
-        outer_edges=np.asarray(outer, dtype=np.int32),
+        vertices=verts,
+        triangles=np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1).reshape(-1, 3).astype(np.int32),
+        interface_edges=np.stack([ii, io, mi, mo, mi, mo, ji, jo], axis=1).reshape(-1, 4).astype(np.int32),
+        outer_edges=np.stack([i, m, m, j], axis=1).reshape(-1, 2).astype(np.int32),
     )
 
 
@@ -336,23 +289,20 @@ def assemble(field, mesh):
     turn = r / abs(r) if r.imag != 0.0 else 1.0 + 0.0j
     theta = (theta * np.array([[1.0, turn], [turn.conjugate(), 1.0]])).real
 
-    # interface term: K -= Theta[a, b] * edge mass on the trace pairs
-    kr, kc, kv = [], [], []
-    for ii, io, ji, jo in mesh.interface_edges:
-        L = float(np.linalg.norm(pts[ji] - pts[ii]))
-        s_edge = (L / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
-        dofs = ((ii, io), (ji, jo))  # endpoint p -> (inner DOF, outer DOF)
-        for a in (0, 1):
-            for b in (0, 1):
-                if theta[a, b] == 0:
-                    continue
-                for pp in (0, 1):
-                    for qq in (0, 1):
-                        kr.append(dofs[pp][a])
-                        kc.append(dofs[qq][b])
-                        kv.append(-theta[a, b] * s_edge[pp, qq])
-    if kv:
-        K = (K + sp.coo_matrix((kv, (kr, kc)), shape=(n, n)).tocsr()).tocsr()
+    # interface term: K -= Theta[a, b] * edge mass on the trace pairs, with
+    # entries in (edge, a, b, p, q) order and no block where Theta[a, b] = 0
+    edges = mesh.interface_edges
+    d = pts[edges[:, 2]] - pts[edges[:, 0]]
+    s_edge = (np.sqrt(np.vecdot(d, d)) / 6.0)[:, None, None] * np.array([[2.0, 1.0], [1.0, 2.0]])
+    dofs = edges.reshape(-1, 2, 2).transpose(0, 2, 1)  # [edge, a, p]: trace a at endpoint p
+    shape = (len(edges), 2, 2, 2, 2)
+    kv = -theta[None, :, :, None, None] * s_edge[:, None, None]
+    kr = np.broadcast_to(dofs[:, :, None, :, None], shape)
+    kc = np.broadcast_to(dofs[:, None, :, None, :], shape)
+    nz = theta != 0
+    if nz.any():
+        coo = sp.coo_matrix((kv[:, nz].ravel(), (kr[:, nz].ravel(), kc[:, nz].ravel())), shape=(n, n))
+        K = (K + coo.tocsr()).tocsr()
 
     T = sp.identity(n, format="csr")
     if field.kind == core.CONSTRAINED:
@@ -369,20 +319,14 @@ def _constraint_map(mesh, keep_inner, ratio):
     the outer one; the other one becomes ratio * kept.
     """
     n = mesh.n_vertices
-    pairs = mesh.interface_edges.reshape(-1, 2)  # (inner, outer) trace pairs
-    eliminated = dict((pairs[:, ::-1] if keep_inner else pairs).tolist())  # dropped DOF -> kept DOF
-    kept = [v for v in range(n) if v not in eliminated]
-    col_of = {v: j for j, v in enumerate(kept)}
-    rows, cols, vals = [], [], []
-    for v in kept:
-        rows.append(v)
-        cols.append(col_of[v])
-        vals.append(1.0)
-    for v, w in eliminated.items():
-        rows.append(v)
-        cols.append(col_of[w])
-        vals.append(ratio)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, len(kept))).tocsr()
+    inner, outer = mesh.interface_edges.reshape(-1, 2).T  # (inner, outer) trace pairs
+    dropped, kept = (outer, inner) if keep_inner else (inner, outer)
+    keep = np.ones(n, dtype=bool)
+    keep[dropped] = False
+    col = np.cumsum(keep) - 1
+    col[dropped] = col[kept]
+    vals = np.where(keep, 1.0, ratio)
+    return sp.coo_matrix((vals, (np.arange(n), col)), shape=(n, int(np.count_nonzero(keep)))).tocsr()
 
 
 def shifted_inertia(K, M, s):
@@ -395,12 +339,11 @@ def shifted_inertia(K, M, s):
     (count, SuperLU object).  Raises ConvergenceFailure when a pivot is
     zero or SuperLU had to leave the diagonal: the count is then unknown.
     """
-    lu = spla.splu(
-        (K - s * M).tocsc(),
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
+    try:
+        lu = spla.splu((K - s * M).tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError as exc:  # SuperLU met an exactly zero pivot
+        raise ConvergenceFailure(f"no inertia for K - s M at s={s}: {exc}") from exc
     pivots = lu.U.diagonal()
     if not np.array_equal(lu.perm_r, lu.perm_c) or np.any(pivots == 0.0):
         raise ConvergenceFailure(f"no inertia for K - s M at s={s}: off-diagonal or zero pivot")
@@ -501,8 +444,8 @@ def _deflated_arpack(K_r, M_r, sigma, lu, k, found):
     op_inv = spla.LinearOperator(K_r.shape, matvec=matvec, dtype=K_r.dtype)
     try:
         return spla.eigsh(K_r, k=k, M=M_r, sigma=sigma, which="LM", v0=v0, OPinv=op_inv, rng=rng)
-    except spla.ArpackNoConvergence as exc:
-        raise ConvergenceFailure(f"ARPACK did not converge at sigma={sigma}") from exc
+    except spla.ArpackError as exc:  # ArpackNoConvergence among them
+        raise ConvergenceFailure(f"ARPACK failed at sigma={sigma}: {exc}") from exc
 
 
 def negative_spectrum_fem(field, R, R_out, h, count=6):

@@ -364,7 +364,6 @@ def radial_fd_spectrum(geom, field, n_grid):
     (Gershgorin lower bound, -NEG_TOL] are computed.
     """
     import numpy as np  # imported here: interval tasks load neither numpy nor SciPy
-    from scipy.linalg import eigvalsh_tridiagonal
 
     d, e = _mode_tridiagonal(geom, field, n_grid)
     # Gershgorin bound, moved off it: stebz searches the half-open (lo, hi].
@@ -372,7 +371,7 @@ def radial_fd_spectrum(geom, field, n_grid):
     # away and the lowest eigenvalue rounds onto lo, outside the range.
     lo = float(np.min(d - np.append(e, 0.0) - np.insert(e, 0, 0.0)))
     lo -= max(1.0, 1e-12 * abs(lo))
-    neg = eigvalsh_tridiagonal(d, e, select="v", select_range=(lo, -NEG_TOL), tol=STURM_TOL)
+    neg = _sturm_eigenvalues(d, e, select="v", select_range=(lo, -NEG_TOL))
     return Levels(tuple(float(x) for x in neg), (multiplicity(geom.dimension, geom.mode),) * len(neg))
 
 
@@ -383,11 +382,23 @@ def radial_mode_eigenvalues(geom, field, n_grid, count):
     ones, because variational eigenvalue orderings hold for every index
     of the shared nodal space.  Only those ``count`` values are computed.
     """
-    from scipy.linalg import eigvalsh_tridiagonal
-
     d, e = _mode_tridiagonal(geom, field, n_grid)
     last = min(int(count), len(d)) - 1
-    return eigvalsh_tridiagonal(d, e, select="i", select_range=(0, last), tol=STURM_TOL)
+    return _sturm_eigenvalues(d, e, select="i", select_range=(0, last))
+
+
+def _sturm_eigenvalues(d, e, **select):
+    """Selected eigenvalues of the tridiagonal (d, e) by stebz bisection.
+
+    ConvergenceFailure when stebz stops short, as on entries near the
+    float range.
+    """
+    from scipy.linalg import LinAlgError, eigvalsh_tridiagonal
+
+    try:
+        return eigvalsh_tridiagonal(d, e, tol=STURM_TOL, **select)
+    except LinAlgError as exc:
+        raise ConvergenceFailure(f"no Sturm count: {exc}") from exc
 
 
 def _mode_tridiagonal(geom, rc, n_grid):

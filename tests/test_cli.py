@@ -678,14 +678,56 @@ def test_task_command_mismatch_writes_error_to_config_dir(tmp_path, monkeypatch)
     assert not (tmp_path / "error.json").exists()
 
 
+def real_coupling(alpha, beta):
+    return {"alpha": alpha, "beta": beta, "gamma": [0.0, 0.0]}
+
+
+def compare_case(geometry):
+    return {"task": "compare", "compare": {"cases": [
+        {"case_id": "alpha_direct", **real_coupling(1e300, 1.0), "reference": 1.0, "geometry": geometry}]}}
+
+
+SOLVER_FAILURES = {  # name: (config, error type, detail fragment)
+    "radial-oracle-not-delta": (
+        {"task": "radial-oracle", "coupling": real_coupling(2.0, 1.0), "geometry": {"R": 1.0}},
+        "ValidationError", "delta"),
+    # the coordinates overflow (R = 1e200) or underflow (R = 1e-200), so no
+    # triangle angle can be measured
+    "circle-fem-huge-R": (
+        {"task": "circle-fem", "coupling": real_coupling(2.0, 0.0), "geometry": {"R": 1e200}},
+        "MeshQualityFailure", "minimum triangle angle nan"),
+    "circle-fem-tiny-R": (
+        {"task": "circle-fem", "coupling": real_coupling(2.0, 0.0), "geometry": {"R": 1e-200}},
+        "MeshQualityFailure", "minimum triangle angle nan"),
+    # SuperLU finds an exactly zero pivot
+    "circle-fem-tiny-beta": (
+        {"task": "circle-fem", "coupling": real_coupling(2.0, 1e-300), "geometry": {"R": 1.0}},
+        "ConvergenceFailure", "Factor is exactly singular"),
+    # ARPACK stops with error -9 (starting vector is zero)
+    "circle-fem-huge-alpha": (
+        {"task": "circle-fem", "coupling": real_coupling(1e300, 0.0), "geometry": {"R": 1.0}},
+        "ConvergenceFailure", "ARPACK error -9"),
+    "compare-circle-fem-huge-alpha": (compare_case("circle-fem"), "ConvergenceFailure", "ARPACK error -9"),
+    # stebz does not converge on the radial tridiagonal
+    "certify-huge-alpha": (
+        {"task": "certify", "coupling": real_coupling(1e300, 1.0), "geometry": {"kind": "circle", "R": 1.0}},
+        "ConvergenceFailure", "stebz"),
+    "grid-sweep-huge-alpha": (
+        {"task": "sweep", "coupling": real_coupling(1e300, 1.0), "geometry": {"kind": "sphere", "R": 1.0},
+         "solver": {"backend": "grid"}, "sweep": {"parameter": "R", "start": 0.5, "stop": 1.0, "steps": 2}},
+        "ConvergenceFailure", "stebz"),
+    "compare-sphere-radial-huge-alpha": (compare_case("sphere-radial"), "ConvergenceFailure", "stebz"),
+}
+
+
 def test_solver_failure_exits_two(tmp_path):
-    doc = {"task": "radial-oracle",
-           "coupling": {"alpha": 2.0, "beta": 1.0, "gamma": [0.0, 0.0]},
-           "geometry": {"R": 1.0}}
-    code, out = run_cli(tmp_path, "radial-oracle", doc)
-    assert code == 2
-    err = json.loads((out / "error.json").read_text())
-    assert "delta" in err["detail"]
+    # each failure is typed: exit 2 and an error.json, no traceback
+    for name, (doc, error, detail) in SOLVER_FAILURES.items():
+        code, out = run_cli(tmp_path, doc["task"], doc, out=name)
+        assert code == 2, name
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == error and detail in err["detail"], (name, err)
+        assert not (out / "report.json").exists()
 
 
 def test_compare_suite_passes_and_exits_zero(tmp_path):

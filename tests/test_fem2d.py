@@ -6,6 +6,8 @@ and the banded radial finite-difference solver.
 """
 
 import gc
+import math
+import warnings
 import weakref
 
 import numpy as np
@@ -15,6 +17,7 @@ import scipy.sparse as sp
 import scipy.special
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
+from scipy.sparse.csgraph import connected_components
 
 from surfint import core, fem2d, radial
 from surfint.errors import MeshQualityFailure, ValidationError
@@ -73,11 +76,204 @@ def test_mesh_basic_structure():
     assert np.isin(outer, mesh.triangles[~inside]).all()
 
 
+# ------------------------------------------ loop oracles of the array code
+
+def loop_build_mesh(R, R_out, h_target):
+    """build_mesh vertex by vertex and triangle by triangle, same ring counts."""
+    n_rad_in = max(2, round(R / h_target))
+    n_rad_out = max(2, round((R_out - R) / h_target))
+    radii_in = [R * j / n_rad_in for j in range(1, n_rad_in + 1)]
+    radii_out = [R + (R_out - R) * j / n_rad_out for j in range(1, n_rad_out + 1)]
+    n_interface = fem2d._pow2_count(2.0 * math.pi * R / h_target)
+    counts_in = fem2d._ring_counts(radii_in, h_target, n_interface, inward=True)
+    counts_out = fem2d._ring_counts([R] + radii_out, h_target, n_interface, inward=False)[1:]
+
+    verts = [(0.0, 0.0)]
+
+    def ring(r, c):
+        ids = list(range(len(verts), len(verts) + c))
+        verts.extend((r * math.cos(2 * math.pi * i / c), r * math.sin(2 * math.pi * i / c)) for i in range(c))
+        return ids
+
+    rings_in = [ring(r, c) for r, c in zip(radii_in, counts_in)]
+    inner_iface = rings_in[-1]
+    outer_iface = list(range(len(verts), len(verts) + n_interface))
+    verts.extend(verts[i] for i in inner_iface)
+    rings_out = [outer_iface] + [ring(r, c) for r, c in zip(radii_out, counts_out)]
+
+    c1 = counts_in[0]
+    tris = [(0, rings_in[0][i], rings_in[0][(i + 1) % c1]) for i in range(c1)]
+    for rings in (rings_in, rings_out):
+        for inner_ids, outer_ids in zip(rings, rings[1:]):
+            ci, co = len(inner_ids), len(outer_ids)
+            assert co in (ci, 2 * ci)
+            for i in range(ci):
+                a0, a1 = inner_ids[i], inner_ids[(i + 1) % ci]
+                if co == ci:
+                    b0, b1 = outer_ids[i], outer_ids[(i + 1) % co]
+                    tris += [(a0, b0, b1), (a0, b1, a1)]
+                else:
+                    b0, b1, b2 = outer_ids[2 * i], outer_ids[2 * i + 1], outer_ids[(2 * i + 2) % co]
+                    tris += [(a0, b0, b1), (a0, b1, a1), (a1, b1, b2)]
+
+    iface_edges = [
+        (inner_iface[i], outer_iface[i], inner_iface[(i + 1) % n_interface], outer_iface[(i + 1) % n_interface])
+        for i in range(n_interface)
+    ]
+    last = rings_out[-1]
+    outer_edges = [(last[i], last[(i + 1) % len(last)]) for i in range(len(last))]
+    return fem2d.InterfaceMesh(
+        vertices=np.asarray(verts, dtype=float),
+        triangles=np.asarray(tris, dtype=np.int32),
+        interface_edges=np.asarray(iface_edges, dtype=np.int32),
+        outer_edges=np.asarray(outer_edges, dtype=np.int32),
+    )
+
+
+def loop_refine_mesh(mesh):
+    """refine_mesh with a midpoint dict, numbering midpoints as first met."""
+    verts = [tuple(v) for v in mesh.vertices]
+    midpoint = {}
+
+    def mid(i, j):
+        key = (min(i, j), max(i, j))
+        if key not in midpoint:
+            midpoint[key] = len(verts)
+            verts.append((0.5 * (verts[i][0] + verts[j][0]), 0.5 * (verts[i][1] + verts[j][1])))
+        return midpoint[key]
+
+    tris = []
+    for a, b, c in mesh.triangles:
+        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+        tris.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
+    iface = []
+    for ii, io, ji, jo in mesh.interface_edges:
+        mi, mo = mid(ii, ji), mid(io, jo)
+        iface.extend([(ii, io, mi, mo), (mi, mo, ji, jo)])
+    outer = []
+    for i, j in mesh.outer_edges:
+        m = mid(i, j)
+        outer.extend([(i, m), (m, j)])
+    return fem2d.InterfaceMesh(
+        vertices=np.asarray(verts, dtype=float),
+        triangles=np.asarray(tris, dtype=np.int32),
+        interface_edges=np.asarray(iface, dtype=np.int32),
+        outer_edges=np.asarray(outer, dtype=np.int32),
+    )
+
+
+def loop_interface_term(mesh, theta):
+    """-Theta[a, b] * P1 edge mass on the trace pairs, edge by edge, as CSR;
+    None when every Theta[a, b] is zero."""
+    n = mesh.n_vertices
+    pts = mesh.vertices
+    kr, kc, kv = [], [], []
+    for ii, io, ji, jo in mesh.interface_edges:
+        L = float(np.linalg.norm(pts[ji] - pts[ii]))
+        s_edge = (L / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
+        dofs = ((ii, io), (ji, jo))  # endpoint p -> (inner DOF, outer DOF)
+        for a in (0, 1):
+            for b in (0, 1):
+                if theta[a, b] == 0:
+                    continue
+                for pp in (0, 1):
+                    for qq in (0, 1):
+                        kr.append(dofs[pp][a])
+                        kc.append(dofs[qq][b])
+                        kv.append(-theta[a, b] * s_edge[pp, qq])
+    return sp.coo_matrix((kv, (kr, kc)), shape=(n, n)).tocsr() if kv else None
+
+
+def loop_constraint_map(mesh, keep_inner, ratio):
+    """The trace map of a constrained coupling, vertex by vertex."""
+    n = mesh.n_vertices
+    pairs = mesh.interface_edges.reshape(-1, 2)  # (inner, outer) trace pairs
+    eliminated = dict((pairs[:, ::-1] if keep_inner else pairs).tolist())  # dropped DOF -> kept DOF
+    kept = [v for v in range(n) if v not in eliminated]
+    col_of = {v: j for j, v in enumerate(kept)}
+    rows = kept + list(eliminated)
+    cols = [col_of[v] for v in kept] + [col_of[w] for w in eliminated.values()]
+    vals = [1.0] * len(kept) + [ratio] * len(eliminated)
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, len(kept))).tocsr()
+
+
+def loop_assembly(field, mesh):
+    """(K, M, T, phase) of fem2d.assemble, with the loop interface term and trace map."""
+    n = mesh.n_vertices
+    K, M = triangle_pencil(mesh)
+    theta = core.theta_matrix(field).entries
+    if field.kind == core.CONSTRAINED:
+        ci, ce = field.constraint_coefficients()
+        keep_inner = abs(ci) >= abs(ce)
+        r = ce / ci if keep_inner else (ci / ce).conjugate()
+    else:
+        r = theta[0, 1].conjugate()
+    turn = r / abs(r) if r.imag != 0.0 else 1.0 + 0.0j
+    theta = (theta * np.array([[1.0, turn], [turn.conjugate(), 1.0]])).real
+    term = loop_interface_term(mesh, theta)
+    if term is not None:
+        K = (K + term).tocsr()
+    T = sp.identity(n, format="csr")
+    if field.kind == core.CONSTRAINED:
+        T = loop_constraint_map(mesh, keep_inner, (r * turn.conjugate()).real)
+    side = connected_components(M, directed=False)[1]
+    phase = np.where(np.isin(side, side[mesh.interface_edges[:, 1]]), turn, 1.0 + 0.0j)
+    return K, M, T, phase
+
+
+def assert_bit_identical(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def mesh_arrays(mesh):
+    return mesh.vertices, mesh.triangles, mesh.interface_edges, mesh.outer_edges
+
+
+# (R, R_out, h) of real runs: the fem-ladder rungs and wide run, the smoke
+# rungs from h = 0.6, the compare-suite widths, and Tier-1's largest mesh
+RUN_MESHES = [
+    (1.0, 3.0, 0.3), (1.0, 3.0, 0.15), (1.0, 3.0, 0.075), (1.0, 4.5, 0.15),
+    (1.0, 3.0, 0.6), (1.0, 4.5, 0.3),
+    (1.0, 3.0, 0.2), (1.0, 3.0, 0.25),
+    (1.0, 6.0, 0.05),
+]
+
+
 def test_mesh_determinism():
     m1 = fem2d.build_mesh(1.0, 4.0, 0.17)
     m2 = fem2d.build_mesh(1.0, 4.0, 0.17)
     assert np.array_equal(m1.vertices, m2.vertices)
     assert np.array_equal(m1.triangles, m2.triangles)
+    # the array construction reproduces the loops bit for bit
+    for args in [(1.0, 4.0, 0.17), *RUN_MESHES]:
+        assert_bit_identical(mesh_arrays(fem2d.build_mesh(*args)), mesh_arrays(loop_build_mesh(*args)))
+    for args in ((1.0, 3.0, 0.35), (1.0, 3.0, 0.3), (1.3, 7.0, 0.21)):
+        coarse = fem2d.build_mesh(*args)
+        assert_bit_identical(mesh_arrays(fem2d.refine_mesh(coarse)), mesh_arrays(loop_refine_mesh(coarse)))
+
+
+ORACLE_COUPLINGS = [
+    (1.0, 2.0, 0.5 + 1.5j),  # free, complex gamma
+    (2.0, 0.0, 0.5 + 0.5j),  # constrained with |c_i| < |c_e|: the outer trace is kept
+    (2.0, 0.0, 0.0),  # delta
+]
+
+
+@pytest.mark.parametrize("args, refined", [(args, False) for args in RUN_MESHES] + [((1.0, 3.0, 0.35), True)])
+def test_assembly_matches_the_loop_oracle(args, refined):
+    mesh = fem2d.build_mesh(*args)
+    if refined:
+        mesh = fem2d.refine_mesh(mesh)
+    for coupling in ORACLE_COUPLINGS:
+        field = core.uniform_field(*coupling)
+        pencil = fem2d.assemble(field, mesh)
+        K, M, T, phase = loop_assembly(field, mesh)
+        for got, want in ((pencil.K, K), (pencil.M, M), (pencil.T, T)):
+            assert got.shape == want.shape
+            assert_bit_identical((got.data, got.indices, got.indptr), (want.data, want.indices, want.indptr))
+        assert_bit_identical((pencil.phase,), (phase,))
 
 
 @settings(max_examples=25, deadline=None)
@@ -89,6 +285,7 @@ def test_mesh_determinism():
 def test_mesh_quality_across_parameters(R, ratio, frac):
     mesh = fem2d.build_mesh(R, ratio * R, frac * R)
     assert fem2d.min_angle_degrees(mesh) >= fem2d.MIN_ANGLE_DEG
+    assert_bit_identical(mesh_arrays(mesh), mesh_arrays(loop_build_mesh(R, ratio * R, frac * R)))
 
 
 def test_mesh_rejects_bad_geometry():
@@ -96,6 +293,12 @@ def test_mesh_rejects_bad_geometry():
         fem2d.build_mesh(2.0, 1.0, 0.1)
     with pytest.raises(ValidationError):
         fem2d.build_mesh(1.0, 3.0, 1.5)
+    # the edge lengths underflow, so no angle can be measured: the gate
+    # refuses the nan minimum, and without a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MeshQualityFailure, match="nan"):
+            fem2d.build_mesh(1e-200, 3e-200, 3e-201)
 
 
 def test_min_angle_flags_slivers():
@@ -442,14 +645,11 @@ def test_ladder_agrees_with_the_solve_from_the_default_shift():
 
 # ------------------------------------- real gauge vs complex assembly oracle
 
-def complex_assembly(field, mesh):
-    """(K, M, T) assembled in complex arithmetic, with gamma's phase left
-    on Theta_12 and on the trace ratio: the pencil of the physical
-    operator, of which fem2d.assemble's real pencil is a gauge."""
+def triangle_pencil(mesh):
+    """Real P1 stiffness and mass of the triangles, as CSR."""
     n = mesh.n_vertices
-    pts = mesh.vertices
     tris = mesh.triangles
-    p = pts[tris]
+    p = mesh.vertices[tris]
     x, y = p[..., 0], p[..., 1]
     bvec = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
     cvec = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
@@ -460,44 +660,25 @@ def complex_assembly(field, mesh):
     m_loc = area[:, None, None] * ((np.ones((3, 3)) + np.eye(3)) / 12.0)
     rows = np.repeat(tris, 3, axis=1).ravel()
     cols = np.tile(tris, (1, 3)).ravel()
-    K = sp.coo_matrix((k_loc.ravel(), (rows, cols)), shape=(n, n)).tocsr().astype(complex)
-    M = sp.coo_matrix((m_loc.ravel(), (rows, cols)), shape=(n, n)).tocsr().astype(complex)
+    K = sp.coo_matrix((k_loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    M = sp.coo_matrix((m_loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    return K, M
 
-    theta = core.theta_matrix(field).entries
-    kr, kc, kv = [], [], []
-    for ii, io, ji, jo in mesh.interface_edges:
-        L = float(np.linalg.norm(pts[ji] - pts[ii]))
-        s_edge = (L / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
-        dofs = ((ii, io), (ji, jo))
-        for a in (0, 1):
-            for b in (0, 1):
-                if theta[a, b] == 0:
-                    continue
-                for pp in (0, 1):
-                    for qq in (0, 1):
-                        kr.append(dofs[pp][a])
-                        kc.append(dofs[qq][b])
-                        kv.append(-theta[a, b] * s_edge[pp, qq])
-    if kv:
-        K = (K + sp.coo_matrix((kv, (kr, kc)), shape=(n, n)).tocsr()).tocsr()
 
+def complex_assembly(field, mesh):
+    """(K, M, T) assembled in complex arithmetic, with gamma's phase left
+    on Theta_12 and on the trace ratio: the pencil of the physical
+    operator, of which fem2d.assemble's real pencil is a gauge."""
+    K, M = (A.astype(complex) for A in triangle_pencil(mesh))
+    term = loop_interface_term(mesh, core.theta_matrix(field).entries)
+    if term is not None:
+        K = (K + term).tocsr()
     if field.kind != core.CONSTRAINED:
-        return K, M, sp.identity(n, dtype=complex, format="csr")
+        return K, M, sp.identity(mesh.n_vertices, dtype=complex, format="csr")
     ci, ce = field.constraint_coefficients()
-    eliminated = {}
-    for ii, io, ji, jo in mesh.interface_edges:
-        for vi, ve in ((ii, io), (ji, jo)):
-            if abs(ci) >= abs(ce):
-                eliminated[ve] = (vi, ce / ci)  # f_e = (c_e / c_i) f_i
-            else:
-                eliminated[vi] = (ve, ci / ce)  # f_i = (c_i / c_e) f_e
-    kept = [v for v in range(n) if v not in eliminated]
-    col_of = {v: j for j, v in enumerate(kept)}
-    rows = kept + list(eliminated)
-    cols = [col_of[v] for v in kept] + [col_of[w] for w, _ in eliminated.values()]
-    vals = [1.0] * len(kept) + [ratio for _, ratio in eliminated.values()]
-    T = sp.coo_matrix((vals, (rows, cols)), shape=(n, len(kept)), dtype=complex).tocsr()
-    return K, M, T
+    if abs(ci) >= abs(ce):
+        return K, M, loop_constraint_map(mesh, True, ce / ci)  # f_e = (c_e / c_i) f_i
+    return K, M, loop_constraint_map(mesh, False, ci / ce)  # f_i = (c_i / c_e) f_e
 
 
 def gauge_couplings():
