@@ -62,6 +62,11 @@ Artifacts, all written into the output directory:
                    schemas/report.schema.json
     error.json     written instead of results when the run fails
 
+Each artifact is rewritten in place and cut to its length; a write that
+fails leaves an empty file.  A run removes the artifacts of earlier runs
+that it does not write itself, so the directory holds only the last
+run's artifacts.
+
 Every artifact embeds the SHA-256 of the raw configuration text (CSV:
 first comment line `# config_sha256=...`; JSON: a field).  Floats are
 printed as shortest round-trip decimals, iteration orders are fixed and
@@ -553,8 +558,26 @@ def _cell(x):
 
 
 def _write_text(path, text):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    """Write text as UTF-8 over path in place, then cut the file to its length.
+
+    Opening without O_TRUNC rewrites a previous run's file where it lies:
+    truncating first frees its blocks, which costs more than the write on
+    a file system that discards them.  A write that raises cuts the file
+    to length 0, so no file holds new bytes before an old tail, or an old
+    artifact that looks current.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        data = text.encode("utf-8")
+        done = 0
+        while done < len(data):
+            done += os.write(fd, data[done:])
+        os.ftruncate(fd, done)
+    except BaseException:
+        os.ftruncate(fd, 0)
+        raise
+    finally:
+        os.close(fd)
 
 
 def _write_json(path, payload):
@@ -581,6 +604,19 @@ def _write_sweep(path, sha, payload):
     _write_text(path, "\n".join(lines) + "\n")
 
 
+_ARTIFACTS = ("report.json", "spectrum.csv", "sweep.csv", "error.json")
+
+
+def _remove_stale(out_dir, written):
+    """Unlink the artifacts of out_dir that this run did not write."""
+    for name in _ARTIFACTS:
+        if name not in written:
+            try:
+                os.unlink(os.path.join(out_dir, name))
+            except FileNotFoundError:
+                pass
+
+
 def _fail(out_dir, sha, task, exc):
     """Write error.json, report the error and return exit code 2."""
     os.makedirs(out_dir, exist_ok=True)
@@ -591,6 +627,7 @@ def _fail(out_dir, sha, task, exc):
         "config_sha256": sha,
         "version": VERSION,
     })
+    _remove_stale(out_dir, ("error.json",))
     print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
     return 2
 
@@ -616,11 +653,15 @@ def run(cfg, out_dir, verbose=False):
     if outcome.verdict is not None:
         report["verdict"] = "pass" if outcome.verdict else "fail"
     _write_json(os.path.join(out_dir, "report.json"), report)
+    written = ["report.json"]
     if outcome.spectrum_rows is not None:
         _write_spectrum(os.path.join(out_dir, "spectrum.csv"), cfg.sha256,
                         outcome.spectrum_rows)
+        written.append("spectrum.csv")
     if outcome.sweep is not None:
         _write_sweep(os.path.join(out_dir, "sweep.csv"), cfg.sha256, outcome.sweep)
+        written.append("sweep.csv")
+    _remove_stale(out_dir, written)
     if verbose:
         print(f"wrote {os.path.join(out_dir, 'report.json')}", file=sys.stderr)
     if outcome.verdict is False:

@@ -28,8 +28,8 @@ away from the interface so that the outer ring of two neighbours has one
 to two times the count c of the inner one; a power of two in [c, 2c] is
 c or 2c, so each strip is straight or doubling, and halving the target
 width h roughly doubles every count.  The minimum triangle angle stays
-above 20 degrees by construction and is measured, not assumed
-(MeshQualityFailure otherwise, also when floats cannot measure it).
+above 20 degrees by construction and is measured, scale-free, not
+assumed (MeshQualityFailure otherwise).
 refine_mesh keeps the coarse vertex indices and appends the edge
 midpoints, so coarse and refined P1 spaces nest.
 """
@@ -119,14 +119,20 @@ def _strip(a, b):
 def build_mesh(R, R_out, h_target):
     """Structured polar mesh of the disk r < R_out with interface at r = R.
 
-    Deterministic in its arguments.  Raises MeshQualityFailure if any
-    triangle angle falls below 20 degrees or cannot be measured in floats
-    (measured on the generated mesh, not assumed from the construction).
+    Deterministic in its arguments.  Raises ValidationError when the
+    triangle areas (about h_target**2 up to R_out**2) leave the normal
+    float range, and MeshQualityFailure if any triangle angle falls below
+    20 degrees (measured on the generated mesh, not assumed from the
+    construction).
     """
     if not (0 < R < R_out):
         raise ValidationError(f"need 0 < R < R_out, got ({R}, {R_out})")
     if not (0 < h_target < R):
         raise ValidationError(f"need 0 < h_target < R, got {h_target}")
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    if not (tiny <= h_target * h_target and R_out * R_out <= huge):
+        raise ValidationError(f"triangle areas leave the normal float range: need h_target**2 >= {tiny} "
+                              f"and R_out**2 <= {huge}, got h_target={h_target}, R_out={R_out}")
 
     n_rad_in = max(2, round(R / h_target))
     n_rad_out = max(2, round((R_out - R) / h_target))
@@ -162,10 +168,12 @@ def build_mesh(R, R_out, h_target):
 
 
 def min_angle_degrees(mesh):
-    """Smallest triangle angle, nan when the coordinates over- or underflow."""
-    p = mesh.vertices[mesh.triangles]
+    """Smallest triangle angle, measured on the vertices divided by their
+    largest absolute coordinate, so the result does not depend on the
+    mesh's scale; nan when they are all zero or one is not finite."""
     angles = []
     with np.errstate(all="ignore"):
+        p = mesh.vertices[mesh.triangles] / np.max(np.abs(mesh.vertices))
         for i in range(3):
             u = p[:, (i + 1) % 3] - p[:, i]
             v = p[:, (i + 2) % 3] - p[:, i]

@@ -5,6 +5,7 @@ import json
 import os
 import pathlib
 import re
+import stat
 import subprocess
 import sys
 
@@ -564,6 +565,65 @@ def test_rerun_is_bit_identical(tmp_path):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_shorter_artifact_overwrites_longer_exactly(tmp_path):
+    path = tmp_path / "report.json"
+    cli._write_text(path, "a longer previous artifact\n" * 50)
+    cli._write_text(path, "short\n")
+    assert path.read_bytes() == b"short\n"
+
+
+FAILING_DOC = dict(INTERVAL_DOC, geometry={})  # geometry.d is missing
+
+
+def test_rewrite_into_the_same_directory_matches_a_fresh_one(tmp_path):
+    grid_sweep = dict(SWEEP_DOC, solver={"backend": "grid", "n_grid": 64})
+    for name, doc in (("interval", INTERVAL_DOC), ("grid-sweep", grid_sweep), ("failing", FAILING_DOC)):
+        codes = [run_cli(tmp_path, doc["task"], doc, out=f"{name}-same")[0] for _ in range(2)]
+        code, fresh = run_cli(tmp_path, doc["task"], doc, out=f"{name}-fresh")
+        assert codes == [code, code] == ([2, 2] if name == "failing" else [0, 0]), name
+        same = tmp_path / f"{name}-same"
+        assert sorted(os.listdir(same)) == sorted(os.listdir(fresh)), name
+        for artifact in os.listdir(fresh):
+            assert (same / artifact).read_bytes() == (fresh / artifact).read_bytes(), (name, artifact)
+
+
+def test_failed_write_leaves_an_empty_file(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text("the previous run's report\n")
+    with pytest.raises(UnicodeEncodeError):
+        cli._write_text(path, "ok\ud800")  # a lone surrogate has no UTF-8 form
+    assert path.read_bytes() == b""
+
+
+def test_new_artifact_gets_the_mode_open_gives(tmp_path):
+    previous = os.umask(0o022)
+    try:
+        for umask in (0o022, 0o077, 0o002):
+            os.umask(umask)
+            ours, reference = tmp_path / f"ours-{umask:o}", tmp_path / f"reference-{umask:o}"
+            cli._write_text(ours, "x\n")
+            with open(reference, "w") as fh:
+                fh.write("x\n")
+            assert stat.S_IMODE(ours.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode), oct(umask)
+    finally:
+        os.umask(previous)
+
+
+def test_output_directory_holds_only_the_last_runs_artifacts(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("not an artifact\n")
+    runs = [(INTERVAL_DOC, 0, ["notes.txt", "report.json", "spectrum.csv"]),
+            (FAILING_DOC, 2, ["error.json", "notes.txt"]),
+            (INTERVAL_DOC, 0, ["notes.txt", "report.json", "spectrum.csv"]),
+            (SWEEP_DOC, 0, ["notes.txt", "report.json", "sweep.csv"]),
+            ({"task": "m-infinity", "coupling": INTERVAL_DOC["coupling"]}, 0, ["notes.txt", "report.json"])]
+    for doc, want_code, want_listing in runs:
+        code, _ = run_cli(tmp_path, doc["task"], doc)
+        assert (code, sorted(os.listdir(out))) == (want_code, want_listing), doc["task"]
+    assert (out / "notes.txt").read_text() == "not an artifact\n"
+
+
 def test_error_run_writes_error_json(tmp_path):
     doc = {"task": "interval",
            "coupling": {"alpha": 2.0, "beta": 0.0, "gamma": [0.0, 0.0]},
@@ -691,14 +751,13 @@ SOLVER_FAILURES = {  # name: (config, error type, detail fragment)
     "radial-oracle-not-delta": (
         {"task": "radial-oracle", "coupling": real_coupling(2.0, 1.0), "geometry": {"R": 1.0}},
         "ValidationError", "delta"),
-    # the coordinates overflow (R = 1e200) or underflow (R = 1e-200), so no
-    # triangle angle can be measured
+    # the triangle areas overflow (R = 1e200) or underflow (R = 1e-200)
     "circle-fem-huge-R": (
         {"task": "circle-fem", "coupling": real_coupling(2.0, 0.0), "geometry": {"R": 1e200}},
-        "MeshQualityFailure", "minimum triangle angle nan"),
+        "ValidationError", "triangle areas leave the normal float range"),
     "circle-fem-tiny-R": (
         {"task": "circle-fem", "coupling": real_coupling(2.0, 0.0), "geometry": {"R": 1e-200}},
-        "MeshQualityFailure", "minimum triangle angle nan"),
+        "ValidationError", "triangle areas leave the normal float range"),
     # SuperLU finds an exactly zero pivot
     "circle-fem-tiny-beta": (
         {"task": "circle-fem", "coupling": real_coupling(2.0, 1e-300), "geometry": {"R": 1.0}},

@@ -293,12 +293,27 @@ def test_mesh_rejects_bad_geometry():
         fem2d.build_mesh(2.0, 1.0, 0.1)
     with pytest.raises(ValidationError):
         fem2d.build_mesh(1.0, 3.0, 1.5)
-    # the edge lengths underflow, so no angle can be measured: the gate
-    # refuses the nan minimum, and without a RuntimeWarning
+    # the triangle areas underflow or overflow: refused by name before any
+    # angle is measured, and without a RuntimeWarning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(MeshQualityFailure, match="nan"):
-            fem2d.build_mesh(1e-200, 3e-200, 3e-201)
+        for R in (1e-200, 1e200):
+            with pytest.raises(ValidationError, match="h_target=.*R_out="):
+                fem2d.build_mesh(R, 3 * R, 0.3 * R)
+
+
+def test_min_angle_does_not_depend_on_scale():
+    # the mesh's shape does not depend on R, so neither does its minimum
+    # angle, at scales whose squared coordinates would leave the float range
+    angles = [fem2d.min_angle_degrees(fem2d.build_mesh(R, 3 * R, 0.3 * R)) for R in (1e-150, 1.0, 1e150)]
+    assert max(angles) - min(angles) <= 1e-12, angles
+    assert min(angles) >= fem2d.MIN_ANGLE_DEG
+
+
+def test_mesh_gate_refuses_a_small_minimum_angle(monkeypatch):
+    monkeypatch.setattr(fem2d, "MIN_ANGLE_DEG", 40.0)
+    with pytest.raises(MeshQualityFailure, match="minimum triangle angle 33.59 deg < 40.0"):
+        fem2d.build_mesh(1.0, 3.0, 0.3)
 
 
 def test_min_angle_flags_slivers():
