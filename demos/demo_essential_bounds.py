@@ -59,4 +59,5 @@ for alpha, beta, gamma, kind in [
         if entry["applicable"] and entry["prediction"]
     }
     print(f"  ({alpha}, {beta}, {gamma}) on the {kind}: predictions {active}, "
-          f"box count {cert['counts']['N_dirichlet']}, consistent: {cert['ok']}")
+          f"census N {cert['counts']['N']}, Dirichlet box count {cert['counts']['N_dirichlet']}, "
+          f"consistent: {cert['ok']}")

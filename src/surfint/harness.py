@@ -30,9 +30,11 @@ grid; in the discrete settings the ordering transfers exactly because
 the twisting unitaries act diagonally on nodal values, so violations
 beyond round-off are real bugs, not discretization slack.
 
-Certificates (bound_state_certificate) and essential-bound pinching
-checks (essential_bound_check) evaluate closed-form predictions and
-cross-check them against numerically certified eigenvalue counts.
+Certificates (bound_state_certificate) judge closed-form bound-state
+predictions against the exact Dirichlet-to-Neumann census, with a
+Dirichlet FD count as the one-sided cross-check (it can only undercount).
+Essential-bound pinching checks (essential_bound_check) evaluate
+closed-form identities and cross-check them on the interval solver.
 """
 
 from __future__ import annotations
@@ -40,11 +42,11 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Callable
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import asdict, dataclass, field as dataclass_field, replace
 
 from . import core, interval, radial
 from .errors import CaseInapplicable, GeometryUnavailable, ValidationError
-from .report import Levels
+from .report import Levels, _plain
 
 
 def _mod2(z):
@@ -196,14 +198,7 @@ class Verdict:
     diagnostics: dict
 
     def to_dict(self):
-        return {
-            "case_id": self.case_id,
-            "pairs": [[lo, up] for lo, up in self.pairs],
-            "ordering_ok": bool(self.ordering_ok),
-            "margin": float(self.margin),
-            "tolerance": float(self.tolerance),
-            "diagnostics": self.diagnostics,
-        }
+        return _plain(asdict(self))
 
 
 def _pad(values, k):
@@ -357,11 +352,11 @@ def run_suite(cases):
 
 
 def bound_state_certificate(rc, geometry):
-    """Closed-form bound-state predictions cross-checked numerically.
+    """Closed-form bound-state predictions judged against the exact count.
 
     geometry is a dict {"kind": "circle" | "sphere", "R": radius} plus
-    optional "R_out" (default 8 R) and "n_grid" (default 512).  Three
-    criteria are evaluated on the coupling rc:
+    optional "R_out" (default 8 R) and "n_grid" (default 512) for the
+    cross-check.  Three criteria are evaluated on the coupling rc:
 
       interaction_integral     free traces everywhere: if the surface
                                integral of |1+gamma/2|^2/beta + alpha/4
@@ -377,14 +372,22 @@ def bound_state_certificate(rc, geometry):
                                iff its strength times R is <= 1, so the
                                full coupling binds nothing either.
 
-    All numeric counts use a Dirichlet-truncated domain, which can only
-    undercount (N_dirichlet <= N_true).  An existence prediction is
-    confirmed when N_dirichlet >= 1 (sound: the true count is at least
-    as large).  A nonexistence prediction is refuted by N_dirichlet >= 1
-    and consistent when the count is 0; Neumann truncation is useless
-    here because a constant trial function always picks up negative
-    energy from the attractive surface term on a bounded domain, so a
-    Neumann box reports a spurious bound state at every truncation.
+    A criterion predicts only where its hypothesis holds exactly, in
+    Fraction on the float inputs (the sign of the integrand, alpha R <=
+    min |1 +- gamma/2|^2 on the sphere, alpha == 0 on the circle); the
+    reported integral and threshold are floats.  Every prediction is
+    judged against the exact Dirichlet-to-Neumann census N
+    (radial.dtn_census), which is also its "numeric".
+
+    counts.N_dirichlet is a one-sided cross-check: an FD count in a
+    Dirichlet box of radius R_out, which can only undercount, so
+    N_dirichlet > N refutes N and N_dirichlet < N refutes nothing (a
+    shallow state decays beyond the box).  ok is false when a prediction
+    is inconsistent or when counts.dirichlet_at_most_N is.  A Neumann box
+    would be no check at all: a constant trial function picks up negative
+    energy from an attractive surface term on a bounded domain, so it
+    reports a spurious bound state at every truncation.  The FD count
+    runs before the census, so its errors come first.
     """
     kind = geometry["kind"]
     if kind not in ("circle", "sphere"):
@@ -393,81 +396,52 @@ def bound_state_certificate(rc, geometry):
     R_out = float(geometry.get("R_out", 8.0 * R))
     n_grid = int(geometry.get("n_grid", 512))
     dim = 2 if kind == "circle" else 3
-    measure = 2.0 * math.pi * R if dim == 2 else 4.0 * math.pi * R * R
     g = complex(rc.gamma)
+    alpha, beta, exact_R, w_minus, w_plus = radial._exact_inputs(rc, R)
 
-    criteria = {}
+    criteria = {
+        "interaction_integral": {"applicable": False,
+                                 "reason": "needs free traces (beta != 0) on the whole surface"},
+        "attractive_trace_2d": {"applicable": False,
+                                "reason": "needs a circle, constrained traces and alpha > 0"},
+        "delta_majorant": {"applicable": False, "reason": "needs constrained traces (beta == 0)"},
+    }
     if rc.kind == core.FREE:
-        integrand = _mod2(1.0 + g / 2.0) / rc.beta + rc.alpha / 4.0
-        integral = measure * integrand
+        measure = 2.0 * math.pi * R if dim == 2 else 4.0 * math.pi * R * R
+        integral = measure * (_mod2(1.0 + g / 2.0) / rc.beta + rc.alpha / 4.0)
+        binds = w_plus / beta + alpha / 4 > 0
         criteria["interaction_integral"] = {
-            "applicable": True,
-            "integral": float(integral),
-            "prediction": "N >= 1" if integral > 0 else None,
-        }
+            "applicable": True, "integral": float(integral), "prediction": "N >= 1" if binds else None}
     else:
-        criteria["interaction_integral"] = {
-            "applicable": False,
-            "reason": "needs free traces (beta != 0) on the whole surface",
-        }
-
-    if rc.kind == core.CONSTRAINED and dim == 2 and rc.alpha > 0:
-        criteria["attractive_trace_2d"] = {
-            "applicable": True,
-            "alpha_min": float(rc.alpha),
-            "prediction": "N >= 1",
-        }
-    else:
-        criteria["attractive_trace_2d"] = {
-            "applicable": False,
-            "reason": "needs a circle, constrained traces and alpha > 0",
-        }
-
-    if rc.kind == core.CONSTRAINED:
+        if dim == 2 and rc.alpha > 0:
+            criteria["attractive_trace_2d"] = {
+                "applicable": True, "alpha_min": float(rc.alpha), "prediction": "N >= 1"}
         denom = min(_mod2(1.0 + g / 2.0), _mod2(1.0 - g / 2.0))
-        entry = {"applicable": True, "denominator": float(denom)}
-        if denom == 0.0:
-            # gamma = +-2: the majorant strength diverges, no prediction
-            entry["prediction"] = None
-            entry["reason"] = "majorant strength diverges at gamma = +-2"
+        entry = criteria["delta_majorant"] = {"applicable": True, "denominator": float(denom)}
+        if denom == 0.0:  # gamma = +-2
+            entry.update(prediction=None, reason="majorant strength diverges at gamma = +-2")
         else:
+            # a delta sphere binds nothing iff alpha_tilde R <= 1; every attractive delta circle binds
             alpha_tilde = rc.alpha / denom
-            entry["alpha_tilde"] = float(alpha_tilde)
+            silent = alpha * exact_R <= min(w_minus, w_plus) if dim == 3 else alpha == 0
+            entry.update(alpha_tilde=float(alpha_tilde), prediction="N == 0" if silent else None)
             if dim == 3:
-                entry["prediction"] = "N == 0" if alpha_tilde * R <= 1.0 else None
                 entry["threshold"] = float(alpha_tilde * R)
-            else:
-                # every positive-strength delta circle binds, so the
-                # majorant only concludes for alpha_tilde == 0
-                entry["prediction"] = "N == 0" if alpha_tilde == 0.0 else None
-        criteria["delta_majorant"] = entry
-    else:
-        criteria["delta_majorant"] = {
-            "applicable": False,
-            "reason": "needs constrained traces (beta == 0)",
-        }
 
     geom = radial.RadialGeometry(dimension=dim, R=R, R_out=R_out, outer_bc="dirichlet", mode=0)
     n_dirichlet = int(radial.assemble_mode_sum(geom, rc, n_grid).N)
-
-    ok = True
-    for name, entry in criteria.items():
-        pred = entry.get("prediction")
-        if pred == "N >= 1":
-            entry["numeric"] = n_dirichlet
-            entry["consistent"] = n_dirichlet >= 1
-        elif pred == "N == 0":
-            entry["numeric"] = n_dirichlet
-            entry["consistent"] = n_dirichlet == 0
-        else:
-            entry["consistent"] = None
-        if entry["consistent"] is False:
-            ok = False
+    N = radial.dtn_census(dim, rc, R, 0)[0]
+    for entry in criteria.values():
+        prediction = entry.get("prediction")
+        if prediction is not None:
+            entry["numeric"] = N
+        entry["consistent"] = None if prediction is None else (N >= 1 if prediction == "N >= 1" else N == 0)
+    counts = {"N": N, "N_dirichlet": n_dirichlet, "dirichlet_at_most_N": n_dirichlet <= N}
     return {
         "geometry": {"kind": kind, "R": R, "R_out": R_out, "n_grid": n_grid},
         "criteria": criteria,
-        "counts": {"N_dirichlet": n_dirichlet},
-        "ok": ok,
+        "counts": counts,
+        "ok": counts["dirichlet_at_most_N"] and all(e["consistent"] is not False for e in criteria.values()),
     }
 
 

@@ -220,17 +220,22 @@ def dtn_census(dimension, field, R, count):
     return N, Levels.merged(levels)
 
 
-def _exact_constant(field, R, p, q):
-    """The constant term of dtn_census at (p, q), as a Fraction of the
-    float inputs: |c_i|^2 p + |c_e|^2 q - alpha R, or p q - R (p Theta_22
-    + q Theta_11) + R^2 alpha/beta, with |1 -+ g/2|^2 = (1 -+ Re g/2)^2 +
-    (Im g/2)^2."""
+def _exact_inputs(field, R):
+    """(alpha, beta, R, |1 - g/2|^2, |1 + g/2|^2) as Fractions of the float
+    inputs, with |1 -+ g/2|^2 = (1 -+ Re g/2)^2 + (Im g/2)^2."""
     from fractions import Fraction  # imported here: it loads decimal, which start-up need not pay for
 
-    a, b, R = Fraction(field.alpha), Fraction(field.beta), Fraction(R)
     g = complex(field.gamma)
     gr, gi = Fraction(g.real) / 2, Fraction(g.imag) / 2
-    w_minus, w_plus = (1 - gr) ** 2 + gi ** 2, (1 + gr) ** 2 + gi ** 2
+    return (Fraction(field.alpha), Fraction(field.beta), Fraction(R),
+            (1 - gr) ** 2 + gi ** 2, (1 + gr) ** 2 + gi ** 2)
+
+
+def _exact_constant(field, R, p, q):
+    """The constant term of dtn_census at (p, q), as a Fraction of the
+    float inputs (_exact_inputs): |c_i|^2 p + |c_e|^2 q - alpha R, or
+    p q - R (p Theta_22 + q Theta_11) + R^2 alpha/beta."""
+    a, b, R, w_minus, w_plus = _exact_inputs(field, R)
     if not b:
         return w_minus * p + w_plus * q - a * R
     t11, t22 = w_plus / b + a / 4, w_minus / b + a / 4

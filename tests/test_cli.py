@@ -873,9 +873,27 @@ def test_compare_rejects_bad_case_params(tmp_path, geometry, params, detail):
     assert not (out / "report.json").exists()
 
 
-def test_certify_unconfirmed_existence_exits_three(tmp_path):
-    # the weak 2-D delta state is exponentially shallow, so the numeric
-    # count cannot confirm the prediction and the verdict fails
+@pytest.mark.parametrize("alpha, level", [(0.1, -2.599e-9), (0.3, -1.6147e-3)])
+def test_certify_weak_circle_binds_and_exits_zero(tmp_path, alpha, level):
+    # the state decays far beyond the Dirichlet box at 8R, so the FD count
+    # reads 0; the census binds it, and the prediction holds
+    doc = {"task": "certify",
+           "coupling": {"alpha": alpha, "beta": 0.0, "gamma": [0.0, 0.0]},
+           "geometry": {"kind": "circle", "R": 1.0}}
+    code, out = run_cli(tmp_path, "certify", doc)
+    assert code == 0
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["verdict"] == "pass"
+    assert rep["results"]["counts"] == {"N": 1, "N_dirichlet": 0, "dirichlet_at_most_N": True}
+    assert rep["results"]["criteria"]["attractive_trace_2d"]["consistent"] is True
+    levels = radial.dtn_census(2, core.uniform_field(alpha, 0.0, 0.0), 1.0, 1)[1]
+    assert levels.eigenvalues[0] == pytest.approx(level, rel=1e-4)
+    jsonschema.validate(rep, load_schema())
+
+
+def test_certify_unconfirmed_existence_exits_three(tmp_path, monkeypatch):
+    # a census that binds nothing contradicts the attractive-trace theorem
+    monkeypatch.setattr(radial, "dtn_census", lambda *args: (0, None))
     doc = {"task": "certify",
            "coupling": {"alpha": 0.1, "beta": 0.0, "gamma": [0.0, 0.0]},
            "geometry": {"kind": "circle", "R": 1.0}}

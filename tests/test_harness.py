@@ -1,12 +1,14 @@
 """Tests for the comparison harness, certificates and matched-strength checks."""
 
 import math
+import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from surfint import core, harness
+from surfint import core, harness, radial
 from surfint.errors import (CaseInapplicable, ConvergenceFailure, GeometryUnavailable,
                             NonRealAlpha, ValidationError)
 from surfint.harness import ComparisonCase
@@ -219,12 +221,18 @@ def test_certificate_interaction_integral_circle():
     assert rep["ok"]
 
 
-def test_certificate_attractive_trace_circle():
+@pytest.mark.parametrize("alpha, gamma", [(1.0, 1.0j), (0.1, 0.0), (0.3, 0.0)],
+                         ids=["alpha-1", "alpha-0.1", "alpha-0.3"])
+def test_certificate_attractive_trace_circle(alpha, gamma):
+    # the weak states lie at -2.6e-9 and -1.6e-3, beyond the FD box of
+    # radius 8R: the census binds them, the Dirichlet count reads 0
     rep = harness.bound_state_certificate(
-        core.uniform_field(1.0, 0.0, 1.0j), {"kind": "circle", "R": 1.0})
+        core.uniform_field(alpha, 0.0, gamma), {"kind": "circle", "R": 1.0})
     entry = rep["criteria"]["attractive_trace_2d"]
     assert entry["applicable"] and entry["prediction"] == "N >= 1"
     assert entry["consistent"] is True
+    assert entry["numeric"] == rep["counts"]["N"] == 1
+    assert rep["counts"]["dirichlet_at_most_N"]
     assert rep["ok"]
 
 
@@ -250,6 +258,78 @@ def test_certificate_majorant_silent_above_threshold():
     assert entry["prediction"] is None
     assert rep["counts"]["N_dirichlet"] >= 1
     assert rep["ok"]
+
+
+def test_certificate_majorant_needs_its_hypothesis_exactly():
+    # alpha R rounds to 1.0, the threshold, but exceeds it: the delta sphere
+    # binds one state at -1.23e-32, so the majorant may not predict N == 0
+    alpha, R = 1.0 + 2.0 ** -52, 1.0 - 2.0 ** -53
+    assert alpha * R == 1.0
+    rep = harness.bound_state_certificate(core.uniform_field(alpha, 0.0, 0.0), {"kind": "sphere", "R": R})
+    entry = rep["criteria"]["delta_majorant"]
+    assert entry["threshold"] == 1.0
+    assert entry["prediction"] is None and entry["consistent"] is None
+    assert rep["counts"] == {"N": 1, "N_dirichlet": 0, "dirichlet_at_most_N": True}
+    assert rep["ok"]
+
+
+def _exact_hypotheses(alpha, beta, gamma, kind, R):
+    """The criteria whose hypothesis holds, decided in Fraction on the float inputs."""
+    a, b, R = Fraction(alpha), Fraction(beta), Fraction(R)
+    gr, gi = Fraction(gamma.real) / 2, Fraction(gamma.imag) / 2
+    w = ((1 - gr) ** 2 + gi ** 2, (1 + gr) ** 2 + gi ** 2)
+    if b:
+        return {"interaction_integral"} if w[1] / b + a / 4 > 0 else set()
+    holds = {"attractive_trace_2d"} if kind == "circle" and a > 0 else set()
+    if min(w) and (a * R <= min(w) if kind == "sphere" else a == 0):
+        holds.add("delta_majorant")
+    return holds
+
+
+def test_certificate_judges_seeded_draw():
+    # both kinds, both geometries, weak circles down to alpha = 1e-3 and
+    # couplings within a few ulp of the sphere's threshold alpha_tilde R = 1
+    rng = random.Random(2024)
+    for i in range(160):
+        kind = ("circle", "sphere")[i % 2]
+        R = rng.choice([1.0, rng.uniform(0.3, 3.0)])
+        gamma = rng.choice([0.0, 2.0, -2.0, complex(rng.uniform(-3, 3), rng.uniform(-3, 3))])
+        if i % 4 < 2:  # free
+            alpha, beta = rng.uniform(-3.0, 5.0), rng.choice([1.0, -1.0]) * rng.uniform(0.2, 3.0)
+        elif kind == "circle":
+            alpha, beta = rng.choice([10.0 ** rng.uniform(-3.0, 0.0), rng.uniform(-3.0, 5.0), 0.0]), 0.0
+        else:
+            w = min(abs(1.0 + gamma / 2.0) ** 2, abs(1.0 - gamma / 2.0) ** 2) or 1.0
+            alpha, beta, toward = w / R, 0.0, rng.choice([0.0, math.inf])
+            for _ in range(rng.randint(0, 3)):
+                alpha = math.nextafter(alpha, toward)
+        geometry = {"kind": kind, "R": R, "R_out": R * rng.uniform(4.0, 12.0), "n_grid": rng.choice([128, 256])}
+        rep = harness.bound_state_certificate(core.uniform_field(alpha, beta, gamma), geometry)
+        case = (alpha, beta, gamma, geometry)
+        predicted = {name for name, entry in rep["criteria"].items() if entry.get("prediction")}
+        assert predicted == _exact_hypotheses(alpha, beta, complex(gamma), kind, R), (case, rep)
+        assert all(rep["criteria"][name]["consistent"] is True for name in predicted), (case, rep)
+        assert rep["counts"]["dirichlet_at_most_N"] and rep["ok"], (case, rep)
+
+
+def test_certificate_cross_check_refutes_the_fd_zero_mode():
+    # at alpha = 0, gamma = -2 the inner side decouples with a Neumann
+    # condition; its constant state has eigenvalue 0, binds nothing in
+    # the census, and FD on 768 cells puts it at -1.16e-10, below -NEG_TOL
+    rep = harness.bound_state_certificate(core.uniform_field(0.0, 0.5, -2.0),
+                                          {"kind": "circle", "R": 0.68, "n_grid": 768})
+    assert rep["counts"] == {"N": 11, "N_dirichlet": 12, "dirichlet_at_most_N": False}
+    assert not rep["ok"]
+
+
+def test_census_count_solves_no_root(monkeypatch):
+    # certificates read dtn_census(..., 0): its closed-form N solves nothing
+    monkeypatch.setattr(core, "bisect", lambda *a, **kw: pytest.fail("core.bisect called"))
+    for dim in (2, 3):
+        for field in (core.uniform_field(2.0, 1.0, 0.3j), core.uniform_field(40.0, 0.0, 0.5),
+                      core.delta_field(1e6)):
+            N, levels = radial.dtn_census(dim, field, 1.0, 0)
+            assert N >= 1 and levels.N == 0
 
 
 def test_certificate_majorant_diverges_at_gamma_two():
